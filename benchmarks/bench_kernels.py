@@ -21,7 +21,6 @@ import numpy as np
 from conftest import print_table, save_results
 from repro.features.paper10 import Paper10FeatureExtractor
 from repro.kernels import (
-    COMPILED_STATUS,
     available_backends,
     get_kernel,
     kernel_contract,
@@ -77,7 +76,6 @@ def test_kernel_backends_speed():
     payload: dict = {
         "quick": QUICK,
         "n_windows": N_WINDOWS,
-        "compiled_status": COMPILED_STATUS,
         "kernels": {},
     }
 
@@ -95,11 +93,6 @@ def test_kernel_backends_speed():
                 f"{ref * 1e3:.1f}",
                 f"{timings['vectorized'] * 1e3:.1f}",
                 f"{ref / timings['vectorized']:.1f}x",
-                (
-                    f"{ref / timings['compiled']:.1f}x"
-                    if "compiled" in timings
-                    else "-"
-                ),
             ]
         )
         payload["kernels"][name] = {
@@ -124,7 +117,6 @@ def test_kernel_backends_speed():
             f"{e2e['reference'] * 1e3:.1f}",
             f"{e2e['vectorized'] * 1e3:.1f}",
             f"{speedup:.1f}x",
-            "-",
         ]
     )
     payload["end_to_end"] = {**e2e, "speedup": speedup}
@@ -132,7 +124,7 @@ def test_kernel_backends_speed():
     print_table(
         f"Feature kernels: {N_WINDOWS} windows"
         + (" (quick)" if QUICK else ""),
-        ["kernel", "ref ms", "vec ms", "vec speedup", "compiled speedup"],
+        ["kernel", "ref ms", "vec ms", "vec speedup"],
         rows,
     )
     save_results("bench_kernels" + ("_quick" if QUICK else ""), payload)

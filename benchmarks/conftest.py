@@ -1,6 +1,7 @@
 """Shared benchmark infrastructure.
 
-Every bench reads two environment knobs (documented in EXPERIMENTS.md):
+Every bench reads two environment knobs (see "Paper-scale runs" in the
+README):
 
 * ``REPRO_SAMPLES_PER_SEIZURE`` — evaluation samples per seizure
   (default 3; the paper uses 100);

@@ -25,7 +25,6 @@ import numpy as np
 from repro.exceptions import KernelError
 from repro.features.paper10 import Paper10FeatureExtractor
 from repro.kernels import (
-    COMPILED_STATUS,
     available_backends,
     embedding_plan,
     get_kernel,
@@ -40,7 +39,7 @@ rng = np.random.default_rng(7)
 print("registered kernels:")
 for name, backends in registered_kernels().items():
     print(f"  {name:22s} {backends}")
-print(f"compiled backend: {COMPILED_STATUS}\n")
+print()
 
 windows = rng.standard_normal((64, 64))  # 64 windows of a DWT subband
 
@@ -54,9 +53,11 @@ finally:
     del os.environ["REPRO_KERNEL_BACKEND"]
 print("env-selected reference :", ref_rows[0])
 
-# prefer= beats both; "compiled" safely degrades when numba is absent.
-compiled = get_kernel("sample_entropy", prefer="compiled")
-print("prefer='compiled' resolves:", compiled(windows, m=2, k=0.2)[0], "\n")
+# prefer= beats both; an unknown backend name is refused, never guessed.
+try:
+    get_kernel("sample_entropy", prefer="turbo")
+except KernelError as err:
+    print(f"prefer='turbo' refused: {err}\n")
 
 # ── 2. The parity contract is bitwise, not approximate ──────────────────
 vec = get_kernel("sample_entropy", prefer="vectorized")(windows, m=2, k=0.2)
@@ -67,11 +68,12 @@ print("vectorized == reference bitwise:", np.array_equal(vec, ref_rows), "\n")
 def off_by_a_little(batch, **kwargs):
     return get_kernel("sample_entropy", prefer="reference")(batch, **kwargs) + 1e-6
 
+shipped = get_kernel("sample_entropy", prefer="vectorized")
 try:
-    register_kernel("sample_entropy", "compiled", off_by_a_little)
+    register_kernel("sample_entropy", "vectorized", off_by_a_little)
 except KernelError as err:
     print(f"registration refused: {err}")
-assert get_kernel("sample_entropy", prefer="compiled") is not off_by_a_little
+assert get_kernel("sample_entropy", prefer="vectorized") is shipped
 print("backends unchanged:", available_backends("sample_entropy"), "\n")
 
 # ── 4. Plans: shared precomputed state ──────────────────────────────────

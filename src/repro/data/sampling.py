@@ -8,7 +8,7 @@ samples were produced, resulting in a total of 4500 test samples."
 This module provides the iteration helpers the benchmarks use, with the
 sample count and duration range as explicit knobs (the repository default
 shrinks both so the full harness runs on a laptop; set the paper values to
-replicate the original scale — see EXPERIMENTS.md).
+replicate the original scale — see "Paper-scale runs" in the README).
 """
 
 from __future__ import annotations

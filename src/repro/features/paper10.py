@@ -58,8 +58,7 @@ class Paper10FeatureExtractor(FeatureExtractor):
         Decomposition depth (paper: 7).
     renyi_alpha:
         Order of the Rényi entropy (the paper does not state it; 2 is the
-        standard choice in the EEG literature and is documented as such in
-        EXPERIMENTS.md).
+        standard choice in the EEG literature).
     """
 
     def __init__(self, dwt_level: int = 7, renyi_alpha: float = 2.0) -> None:

@@ -6,12 +6,9 @@ Importing this package registers every built-in kernel:
   and the contract carrier).
 - ``vectorized`` — batched numpy implementations engineered to be
   bitwise-identical to the reference; the default backend.
-- ``compiled`` — optional numba counters for the template-matching
-  entropies; registered only when numba imports and the parity gate
-  passes, otherwise the registry falls back per-kernel.
 
 Select a backend globally with ``REPRO_KERNEL_BACKEND=reference |
-vectorized | compiled`` or per call via ``get_kernel(name, prefer=...)``.
+vectorized`` or per call via ``get_kernel(name, prefer=...)``.
 Because every non-reference backend must pass its differential contract
 *at registration*, a cohort run produces byte-identical reports under
 any backend choice — the engine parity suite enforces exactly that.
@@ -19,8 +16,6 @@ any backend choice — the engine parity suite enforces exactly that.
 
 from __future__ import annotations
 
-from . import compiled as _compiled
-from .compiled import register_compiled_kernels
 from .plans import WaveletPlan, embedding_plan, hann_window, wavelet_plan
 from .reference import (
     approximate_entropy_reference,
@@ -56,7 +51,6 @@ from .vectorized import (
 __all__ = [
     "ENV_BACKEND",
     "BACKENDS",
-    "COMPILED_STATUS",
     "KernelContract",
     "contract_battery",
     "register_kernel",
@@ -65,7 +59,6 @@ __all__ = [
     "available_backends",
     "registered_kernels",
     "kernel_contract",
-    "register_compiled_kernels",
     "WaveletPlan",
     "wavelet_plan",
     "embedding_plan",
@@ -185,9 +178,3 @@ def _register_builtin_kernels() -> None:
 
 
 _register_builtin_kernels()
-register_compiled_kernels()
-
-#: Outcome of the compiled-backend registration attempt above — read
-#: *after* the attempt, so the package-level name reflects the live
-#: module global and not its pre-registration value.
-COMPILED_STATUS = _compiled.COMPILED_STATUS

@@ -3,10 +3,10 @@
 Per-window feature extraction (entropies, DWT subbands, band powers)
 dominates cohort wall-clock.  This registry lets several implementations
 of the same kernel coexist — the per-window ``reference`` (a loop over
-the scalar functions in :mod:`repro.entropy` / :mod:`repro.signals`),
-a batched ``vectorized`` backend, and an optional ``compiled`` (numba)
-backend — behind one resolution point, so batch, streaming, engine and
-shard extraction all hit the same implementation.
+the scalar functions in :mod:`repro.entropy` / :mod:`repro.signals`)
+and a batched ``vectorized`` backend — behind one resolution point, so
+batch, streaming, engine and shard extraction all hit the same
+implementation.
 
 Every kernel is *batched*: it takes a 2-D ``(n_windows, n_samples)``
 array of per-window series and returns one value row per window (or a
@@ -31,12 +31,9 @@ Resolution
 ----------
 :func:`get_kernel` picks a backend per call: an explicit ``prefer``
 argument wins, then the ``REPRO_KERNEL_BACKEND`` environment variable,
-then the fastest always-available backend (``vectorized``).  The
-``compiled`` backend only covers the kernels whose inner loops benefit
-from it; requesting it falls back per-kernel to ``vectorized`` so a
-cohort run under ``REPRO_KERNEL_BACKEND=compiled`` never breaks when
-numba is absent for some kernel.  ``reference`` and ``vectorized`` are
-always registered and never fall back.
+then the fastest always-available backend (``vectorized``).  Both are
+always registered, and a request for either is strict: there is no
+fallback.
 """
 
 from __future__ import annotations
@@ -62,22 +59,12 @@ __all__ = [
 ]
 
 #: Environment variable selecting the kernel backend for every
-#: registry-resolved kernel (``reference`` | ``vectorized`` | ``compiled``).
+#: registry-resolved kernel (``reference`` | ``vectorized``).
 ENV_BACKEND = "REPRO_KERNEL_BACKEND"
 
 #: Canonical backend names, in default preference order (first match
-#: wins when no explicit preference is given).  ``compiled`` is opt-in:
-#: it is only used when requested, and falls back per-kernel.
-BACKENDS = ("vectorized", "compiled", "reference")
-
-#: Default resolution order when neither ``prefer`` nor the environment
-#: names a backend.
-_DEFAULT_ORDER = ("vectorized", "reference")
-
-#: Fallback chain for an explicitly requested backend that is not
-#: registered for a given kernel.  Only ``compiled`` is partial, so only
-#: it degrades; ``reference`` and ``vectorized`` must exist.
-_FALLBACK = {"compiled": ("compiled", "vectorized", "reference")}
+#: wins when no explicit preference is given).
+BACKENDS = ("vectorized", "reference")
 
 
 @dataclass(frozen=True)
@@ -90,8 +77,8 @@ class KernelContract:
         Parameter sets (kwargs dicts) the kernel is exercised under.
     rtol, atol:
         Agreement tolerances.  The shipped vectorized backends agree
-        bitwise; the default tolerances leave headroom for compiled
-        backends on other platforms without admitting real divergence.
+        bitwise; the default tolerances leave headroom for other
+        implementations without admitting real divergence.
     n_samples:
         Window lengths the battery generates (per case family).
     """
@@ -255,10 +242,8 @@ def get_kernel(name: str, prefer: str | None = None) -> Callable:
     """Resolve the implementation of kernel ``name``.
 
     ``prefer`` overrides the ``REPRO_KERNEL_BACKEND`` environment
-    variable, which overrides the default (``vectorized``).  Requesting
-    ``compiled`` degrades per-kernel to ``vectorized`` where no compiled
-    version exists; requesting ``reference`` or ``vectorized`` is
-    strict.
+    variable, which overrides the default (``vectorized``, falling back
+    to ``reference``).  An explicit request is strict.
     """
     try:
         versions = _REGISTRY[name]
@@ -268,9 +253,7 @@ def get_kernel(name: str, prefer: str | None = None) -> Callable:
         ) from None
     requested = prefer if prefer is not None else kernel_backend_from_env()
     if requested is None:
-        order: tuple[str, ...] = _DEFAULT_ORDER
-    elif requested in _FALLBACK:
-        order = _FALLBACK[requested]
+        order: tuple[str, ...] = BACKENDS
     else:
         if requested not in BACKENDS:
             raise KernelError(
@@ -292,7 +275,7 @@ def available_backends(name: str) -> tuple[str, ...]:
     if name not in _REGISTRY:
         raise KernelError(f"unknown kernel {name!r}")
     have = _REGISTRY[name]
-    return tuple(b for b in ("reference", "vectorized", "compiled") if b in have)
+    return tuple(b for b in ("reference", "vectorized") if b in have)
 
 
 def registered_kernels() -> dict[str, tuple[str, ...]]:

@@ -6,7 +6,7 @@ The paper states the platform has 48 KB RAM and 384 KB flash, and that
 only refer to a reduced representation; storing the *feature stream*
 (what Algorithm 1 actually consumes: 10 float16/32 features per second)
 plus bookkeeping lands in that range, and that is the interpretation this
-model implements (documented in EXPERIMENTS.md).  Both raw and feature
+model implements.  Both raw and feature
 budgets are computed so the discrepancy is visible rather than hidden.
 """
 

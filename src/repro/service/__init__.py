@@ -9,9 +9,11 @@ and a length-prefixed socket protocol), exercised by the wall-clock
 :class:`~repro.service.replayer.Replayer`, and observed through
 :class:`~repro.service.telemetry.ServiceTelemetry` (ingest→decision
 latency percentiles, queue depth, shed counts).  For multi-core hosts,
-:class:`~repro.service.fleet.ServiceShardPool` runs N such services as
-worker processes behind one listener with session-sticky routing and
-merged fleet telemetry.
+:class:`~repro.service.fleet.ServiceShardPool` is N single-process
+services behind one router: each worker process runs an unchanged
+``DetectionService`` on its IPC connection, and the parent's one
+listener routes sessions to them (session-sticky), journals for
+re-homing, and merges fleet telemetry.
 
 The binding contract: a record streamed through a session produces
 per-window decisions byte-identical to

@@ -1,33 +1,31 @@
-"""Multi-process session sharding: one listener, N worker shards.
+"""Multi-process session sharding: N single-process services behind one router.
 
-PR 7's :class:`~repro.service.ingest.DetectionService` runs every
-session's feature extraction and forest scoring on one core behind the
-GIL.  :class:`ServiceShardPool` breaks that ceiling without touching the
-session code: the parent process keeps the single client-facing socket
-listener, and N worker *processes* each host their own
-:class:`~repro.service.manager.SessionManager` plus consumer thread —
-the exact single-process service, N times over.
+One :class:`~repro.service.ingest.DetectionService` runs every session's
+feature extraction and forest scoring on one core behind the GIL.
+:class:`ServiceShardPool` breaks that ceiling without a second service
+implementation: each of N worker *processes* runs the unchanged
+``DetectionService`` (one consumer task, one op table —
+:meth:`DetectionService.dispatch`) on its IPC connection instead of a
+TCP listener, and the parent process keeps the single client-facing
+listener and routes frames to them.
 
 Routing is session-sticky by construction: :meth:`ServiceShardPool
 .shard_of` hashes the session id with SHA-256 (stable across processes,
 runs, and machines — never the salted builtin ``hash``), so *every*
-chunk of a session lands on the same shard and the shard replays the
-identical code path the single-process service runs.  That extends the
-PR 7 parity contract across the pool: per-session decision streams are
-byte-identical to the single-process service for any chunking and any
-worker count.
+chunk of a session lands on the same shard, and per-session decision
+streams are byte-identical to the single-process service for any
+chunking and any worker count.
 
-Parent↔shard IPC speaks the same length-prefixed JSON frames as the
-client protocol (:mod:`repro.service.framing`), over one Unix-domain
-stream socket per shard.  The parent pipelines requests (FIFO futures
-per shard; the single-threaded worker answers in order), so many client
-connections keep every shard busy without per-request round-trip
-stalls.  Backpressure is enforced *inside* each shard by its own
-``SessionManager`` queues and surfaces unchanged — a rejected chunk
-comes back as the same :class:`~repro.service.manager.IngestResult` /
+Parent↔shard IPC speaks the client protocol's length-prefixed JSON
+frames (:mod:`repro.service.framing`) over one Unix-domain stream socket
+per shard.  The parent pipelines requests (FIFO futures per shard; the
+shard answers in order), so many client connections keep every shard
+busy without per-request round-trip stalls.  Backpressure is enforced
+inside each shard by its own ``SessionManager`` queues and surfaces
+unchanged — the same :class:`~repro.service.manager.IngestResult` /
 error frame a single-process caller would see.
 
-Three hardening layers sit on top of the PR 9 pool:
+The parent adds what only a router can:
 
 * **Admission** — the client listener runs behind the shared
   :class:`~repro.service.admission.AdmissionGate`: versioned ``hello``
@@ -66,16 +64,12 @@ the kind of latent corruption this service cannot afford).
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import hashlib
 import multiprocessing
 import os
-import queue
 import shutil
 import signal
-import socket
 import tempfile
-import threading
 from collections import deque
 from typing import Callable
 
@@ -87,21 +81,14 @@ from .admission import AdmissionGate, serve_connection
 from .config import ServiceConfig
 from .framing import (
     chunk_message,
-    decode_chunk,
     error_frame,
     exception_for,
     read_frame,
-    read_frame_sync,
     write_frame,
-    write_frame_sync,
 )
-from .manager import IngestResult, SessionManager, SessionSummary
-from .session import (
-    ForestWindowDetector,
-    WindowDecision,
-    detector_from_state,
-    detector_state_of,
-)
+from .ingest import DetectionService
+from .manager import IngestResult, SessionSummary
+from .session import ForestWindowDetector, WindowDecision, detector_state_of
 from .telemetry import ServiceTelemetry
 
 __all__ = ["ServiceShardPool", "shard_index_of"]
@@ -129,138 +116,40 @@ def shard_index_of(session_id: str, n_shards: int) -> int:
 # ---------------------------------------------------------------------------
 # Worker side (runs in the spawned shard process)
 # ---------------------------------------------------------------------------
-def shard_dispatch(
-    manager: SessionManager, dirty: "queue.Queue[str | None]", message: dict
-) -> dict:
-    """Serve one IPC frame against a shard's session manager.
-
-    The synchronous twin of :meth:`DetectionService._dispatch` — same
-    ops, same response shapes, same error-frame discipline — plus the
-    pool-internal ``drain`` and ``shutdown`` verbs.  Module-level and
-    transport-free so the backpressure/error surface is unit-testable
-    without spawning a process.
-    """
-
-    def drain() -> None:
-        dirty.join()
-
-    try:
-        op = message.get("op")
-        if op == "open":
-            detector = None
-            if message.get("state") is not None:
-                detector = detector_from_state(message["state"])
-            session = manager.open_session(str(message["session"]), detector)
-            return {"ok": True, "session": session.session_id}
-        if op == "chunk":
-            result = manager.ingest(
-                str(message["session"]),
-                decode_chunk(message),
-                seq=message.get("seq"),
-            )
-            if result.accepted:
-                dirty.put(result.session_id)
-            return {"ok": True, **dataclasses.asdict(result)}
-        if op == "poll":
-            drain()
-            events = manager.poll_events(
-                str(message["session"]), message.get("max")
-            )
-            return {"ok": True, "events": [e.to_dict() for e in events]}
-        if op == "close":
-            drain()
-            summary = manager.close_session(str(message["session"]))
-            body = dataclasses.asdict(summary)
-            body["trailing_events"] = [
-                e.to_dict() for e in summary.trailing_events
-            ]
-            return {"ok": True, **body}
-        if op == "swap_detector":
-            # Drain first so the swap point is deterministic: every
-            # admitted chunk is decided by the old detector, everything
-            # after by the new — a window boundary by lock discipline.
-            drain()
-            swapped = manager.swap_detector(
-                detector_from_state(message["state"])
-            )
-            return {"ok": True, "sessions": swapped}
-        if op == "telemetry":
-            return {
-                "ok": True,
-                "telemetry": manager.snapshot(
-                    include_samples=bool(message.get("samples"))
-                ),
-            }
-        if op == "drain":
-            drain()
-            return {"ok": True}
-        if op == "shutdown":
-            drain()
-            return {
-                "ok": True,
-                "telemetry": manager.snapshot(include_samples=True),
-            }
-        raise ServiceError(f"unknown op {op!r}")
-    except KeyError as exc:
-        return error_frame(f"missing field {exc}")
-    except ReproError as exc:
-        return error_frame(exc)
-
-
 def _shard_worker_main(
     shard_index: int, socket_path: str, config: ServiceConfig
 ) -> None:
-    """One shard process: a SessionManager, a consumer thread, a frame loop.
-
-    Mirrors the single-process service's split exactly — the frame loop
-    is the producer (admission only, so backpressure verdicts return
-    immediately), the consumer thread decides queued chunks one at a
-    time — just with a process boundary where the asyncio task boundary
-    used to be.
-    """
+    """One shard process: a :class:`DetectionService` on the IPC socket."""
     # Termination is the parent's job (shutdown frame, then EOF): a
     # terminal SIGINT/SIGTERM aimed at the process group must not kill
     # shards before they finish draining admitted chunks.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    asyncio.run(_serve_shard(shard_index, socket_path, config))
 
-    manager = SessionManager(config)
-    dirty: "queue.Queue[str | None]" = queue.Queue()
 
-    def consume() -> None:
-        while True:
-            session_id = dirty.get()
-            try:
-                if session_id is None:
-                    return
-                manager.pump(session_id, max_chunks=1)
-            except ServiceError:
-                pass  # closed with chunks in flight — accounted at close
-            finally:
-                dirty.task_done()
+async def _serve_shard(
+    shard_index: int, socket_path: str, config: ServiceConfig
+) -> None:
+    """Answer the parent's frames, in order, until shutdown or EOF.
 
-    consumer = threading.Thread(
-        target=consume, name=f"shard-{shard_index}-consumer", daemon=True
-    )
-    consumer.start()
-
-    conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    conn.connect(socket_path)
-    rfile = conn.makefile("rb")
-    wfile = conn.makefile("wb")
-    try:
-        write_frame_sync(wfile, {"op": "hello", "shard": shard_index})
-        while True:
-            message = read_frame_sync(rfile)
-            if message is None:
-                break  # parent is gone; nothing left to answer
-            write_frame_sync(wfile, shard_dispatch(manager, dirty, message))
-            if message.get("op") == "shutdown":
-                break
-    finally:
-        dirty.put(None)
-        dirty.join()
-        conn.close()
+    The parent already screened every frame at its own listener, so the
+    frames go straight to :meth:`DetectionService.dispatch` — not
+    through ``serve_connection``, whose per-client quotas would count
+    the parent as a single client.  Leaving the ``async with`` decides
+    every admitted chunk before the process exits.
+    """
+    async with DetectionService(config) as service:
+        reader, writer = await asyncio.open_unix_connection(socket_path)
+        try:
+            write_frame(writer, {"op": "hello", "shard": shard_index})
+            while (message := await read_frame(reader)) is not None:
+                write_frame(writer, await service.dispatch(message))
+                await writer.drain()
+                if message.get("op") == "shutdown":
+                    break
+        finally:
+            writer.close()
 
 
 # ---------------------------------------------------------------------------
@@ -937,13 +826,7 @@ class ServiceShardPool:
         (including backpressure) comes back as the shard's own
         :class:`IngestResult`, unchanged."""
         reply = await self._checked(chunk_message(session_id, seq, chunk))
-        return IngestResult(
-            session_id=reply["session_id"],
-            accepted=reply["accepted"],
-            queued=reply["queued"],
-            shed=reply["shed"],
-            reason=reply["reason"],
-        )
+        return IngestResult.from_reply(reply)
 
     async def poll_events(
         self, session_id: str, max_events: int | None = None
@@ -958,18 +841,7 @@ class ServiceShardPool:
         reply = await self._checked({
             "op": "close", "session": str(session_id),
         })
-        return SessionSummary(
-            session_id=reply["session_id"],
-            windows=reply["windows"],
-            chunks=reply["chunks"],
-            samples=reply["samples"],
-            shed=reply["shed"],
-            trailing_events=tuple(
-                WindowDecision(**event)
-                for event in reply["trailing_events"]
-            ),
-            error=reply["error"],
-        )
+        return SessionSummary.from_reply(reply)
 
     async def _checked(self, message: dict) -> dict:
         reply = await self._session_request(message)

@@ -8,12 +8,14 @@ socket protocol; the multi-process shard pool (:mod:`repro.service
 encode/decode/limit logic lives here once and both transports import
 it — a frame captured on either wire is readable by the same tooling.
 
-Two I/O flavors cover both sides of the shard boundary:
+Two I/O flavors cover every peer:
 
-* :func:`read_frame` / :func:`write_frame` — asyncio streams (the
-  parent process: client listener and per-shard pipe clients);
+* :func:`read_frame` / :func:`write_frame` — asyncio streams (both
+  services' listeners, the shard pool's pipe clients, and each shard's
+  end of its IPC socket);
 * :func:`read_frame_sync` / :func:`write_frame_sync` — blocking binary
-  file objects (the single-threaded shard worker loop).
+  file objects (the synchronous :class:`~repro.service.client
+  .ServiceClient`).
 
 Both enforce :data:`MAX_FRAME_BYTES` and the same payload validation,
 raising :class:`~repro.exceptions.ServiceError` on violations; a clean
@@ -158,14 +160,14 @@ def write_frame(writer: asyncio.StreamWriter, message: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# blocking flavor (shard worker loop)
+# blocking flavor (synchronous client)
 # ---------------------------------------------------------------------------
 def read_frame_sync(fp: BinaryIO) -> dict | None:
     """Read one frame from a blocking binary file; ``None`` on EOF.
 
     A mid-frame EOF (the peer died between prefix and payload) also
-    reads as ``None`` — for the worker loop any EOF means "parent is
-    gone, wind down", never a recoverable condition.
+    reads as ``None`` — any EOF means "peer is gone", never a
+    recoverable condition.
     """
     head = fp.read(_LEN.size)
     if len(head) < _LEN.size:

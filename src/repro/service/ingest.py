@@ -37,8 +37,14 @@ Requests are JSON objects with an ``op`` field:
     Drain, then hot-swap every open session (and the default for new
     ones) to the serialized detector — at a window boundary, without
     dropping a session.
-``{"op": "telemetry"}``
-    The service telemetry snapshot.
+``{"op": "telemetry", "samples": bool?}``
+    The service telemetry snapshot (with the raw latency reservoir when
+    ``samples`` is true — what a shard ships for an exact fleet merge).
+``{"op": "drain"}`` / ``{"op": "shutdown"}``
+    Wait until every admitted chunk is decided; ``shutdown``
+    additionally returns the final snapshot with samples.  The shard
+    pool (:mod:`repro.service.fleet`) runs this same service in each
+    worker and uses these two verbs on its IPC connection.
 
 Every response is ``{"ok": true, ...}`` or the structured error frame
 ``{"ok": false, "error": message, "code": ServiceErrorCode}`` — a
@@ -49,7 +55,6 @@ admission denials close it cleanly after the error frame).
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 
 import numpy as np
@@ -181,8 +186,8 @@ class DetectionService:
         await self.drain()
         return self.manager.swap_detector(detector)
 
-    def snapshot(self) -> dict:
-        return self.manager.snapshot()
+    def snapshot(self, include_samples: bool = False) -> dict:
+        return self.manager.snapshot(include_samples=include_samples)
 
     # ------------------------------------------------------------------
     # Socket front-end
@@ -202,9 +207,16 @@ class DetectionService:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        await serve_connection(reader, writer, self.gate, self._dispatch)
+        await serve_connection(reader, writer, self.gate, self.dispatch)
 
-    async def _dispatch(self, message: dict) -> dict:
+    async def dispatch(self, message: dict) -> dict:
+        """Answer one request frame: the service's only op table.
+
+        Socket clients reach it through :meth:`serve`; each shard of a
+        :class:`~repro.service.fleet.ServiceShardPool` feeds it the
+        frames its parent routes over IPC.  Failures come back as the
+        structured error frame, never as an exception.
+        """
         try:
             op = message.get("op")
             if op == "open":
@@ -221,7 +233,7 @@ class DetectionService:
                     decode_chunk(message),
                     seq=message.get("seq"),
                 )
-                return {"ok": True, **dataclasses.asdict(result)}
+                return result.to_reply()
             if op == "poll":
                 await self.drain()
                 events = await self.poll_events(
@@ -231,23 +243,26 @@ class DetectionService:
             if op == "close":
                 await self.drain()
                 summary = await self.close_session(str(message["session"]))
-                body = dataclasses.asdict(summary)
-                body["trailing_events"] = [
-                    e.to_dict() for e in summary.trailing_events
-                ]
-                return {"ok": True, **body}
+                return summary.to_reply()
             if op == "swap_detector":
                 swapped = await self.swap_detector(
                     detector_from_state(message["state"])
                 )
                 return {"ok": True, "sessions": swapped}
             if op == "telemetry":
-                return {
-                    "ok": True,
-                    "telemetry": json.loads(telemetry_to_json(self.snapshot())),
-                }
+                return self._telemetry_reply(bool(message.get("samples")))
+            if op == "drain":
+                await self.drain()
+                return {"ok": True}
+            if op == "shutdown":
+                await self.drain()
+                return self._telemetry_reply(include_samples=True)
             raise ServiceError(f"unknown op {op!r}")
         except KeyError as exc:
             return error_frame(f"missing field {exc}")
         except ReproError as exc:
             return error_frame(exc)
+
+    def _telemetry_reply(self, include_samples: bool) -> dict:
+        snapshot = self.snapshot(include_samples=include_samples)
+        return {"ok": True, "telemetry": json.loads(telemetry_to_json(snapshot))}

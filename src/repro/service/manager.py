@@ -27,6 +27,7 @@ share one manager.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from collections import deque
@@ -34,7 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import BackpressureError, FeatureError, ServiceError
+from ..exceptions import (
+    BackpressureError,
+    FeatureError,
+    ReproError,
+    ServiceError,
+)
 from .config import ServiceConfig
 from .session import DetectorSession, WindowDecision, WindowDetector
 from .telemetry import ServiceTelemetry
@@ -58,6 +64,15 @@ class IngestResult:
     shed: int = 0
     reason: str = ""
 
+    def to_reply(self) -> dict:
+        """The ``chunk`` op's ok-reply: ``{"ok": True, **fields}``."""
+        return {"ok": True, **dataclasses.asdict(self)}
+
+    @classmethod
+    def from_reply(cls, reply: dict) -> "IngestResult":
+        """Inverse of :meth:`to_reply` (extra reply keys are ignored)."""
+        return cls(**{f.name: reply[f.name] for f in dataclasses.fields(cls)})
+
 
 @dataclass(frozen=True)
 class SessionSummary:
@@ -66,7 +81,9 @@ class SessionSummary:
     ``error`` carries the finalize failure (e.g. the short-stream
     :class:`~repro.exceptions.FeatureError`, text-identical to the batch
     path's) instead of raising — a client disconnecting two seconds into
-    a stream is a normal service event, not a server fault.
+    a stream is a normal service event, not a server fault.  A session
+    that failed mid-stream (see :meth:`SessionManager.pump`) reports
+    that failure here too.
     """
 
     session_id: str
@@ -77,11 +94,26 @@ class SessionSummary:
     trailing_events: tuple[WindowDecision, ...]
     error: str | None = None
 
+    def to_reply(self) -> dict:
+        """The ``close`` op's ok-reply, trailing events as plain dicts."""
+        body = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        body["trailing_events"] = [e.to_dict() for e in self.trailing_events]
+        return {"ok": True, **body}
+
+    @classmethod
+    def from_reply(cls, reply: dict) -> "SessionSummary":
+        """Inverse of :meth:`to_reply` (extra reply keys are ignored)."""
+        body = {f.name: reply[f.name] for f in dataclasses.fields(cls)}
+        body["trailing_events"] = tuple(
+            WindowDecision(**event) for event in body["trailing_events"]
+        )
+        return cls(**body)
+
 
 class _SessionState:
     """A hosted session plus its ingest queue and bookkeeping."""
 
-    __slots__ = ("session", "queue", "lock", "next_seq", "shed")
+    __slots__ = ("session", "queue", "lock", "next_seq", "shed", "failed")
 
     def __init__(self, session: DetectorSession) -> None:
         self.session = session
@@ -90,6 +122,15 @@ class _SessionState:
         self.lock = threading.Lock()
         self.next_seq = 0
         self.shed = 0
+        #: Why a chunk of this session could not be decided (see pump).
+        self.failed: str | None = None
+
+    def check_live(self, session_id: str) -> None:
+        """Refuse further ingest/poll once the session has failed."""
+        if self.failed is not None:
+            raise ServiceError(
+                f"session {session_id!r} failed: {self.failed}"
+            )
 
 
 class SessionManager:
@@ -184,6 +225,7 @@ class SessionManager:
         if chunk.ndim == 1:
             chunk = chunk[None, :]
         with state.lock:
+            state.check_live(session_id)
             if state.session.closed:
                 raise ServiceError(f"session {session_id!r} is closed")
             if seq is not None and seq != state.next_seq:
@@ -270,16 +312,30 @@ class SessionManager:
 
         Each processed chunk's ingest→decision latency lands in
         telemetry.  Returns the number of windows decided.
+
+        A chunk the detector cannot decide (e.g. NaN samples raising
+        :class:`~repro.exceptions.FeatureError`) fails *its session
+        only*: the session's remaining queued chunks are dropped (and
+        counted as shed), its next ingest or poll raises
+        :class:`~repro.exceptions.ServiceError`, and its close reports
+        the failure in :attr:`SessionSummary.error`.  The consumer
+        calling this never sees the exception, so every other session
+        keeps deciding.
         """
         state = self._state(session_id)
         windows = 0
         processed = 0
         while max_chunks is None or processed < max_chunks:
             with state.lock:
-                if not state.queue:
+                if not state.queue or state.failed is not None:
                     break
                 _seq, t_ingest, chunk = state.queue.popleft()
-                n_new = state.session.push_chunk(chunk)
+                try:
+                    n_new = state.session.push_chunk(chunk)
+                except ReproError as exc:
+                    state.failed = f"{type(exc).__name__}: {exc}"
+                    self._drop_queued(state)
+                    break
                 self.telemetry.chunk_decided(
                     time.perf_counter() - t_ingest, n_new
                 )
@@ -305,6 +361,7 @@ class SessionManager:
     ) -> list[WindowDecision]:
         state = self._state(session_id)
         with state.lock:
+            state.check_live(session_id)
             return state.session.poll_events(max_events)
 
     def close_session(self, session_id: str, drain: bool = True) -> SessionSummary:
@@ -321,19 +378,16 @@ class SessionManager:
         state = self._state(session_id)
         if drain:
             self.pump(session_id)
-        error: str | None = None
         with state.lock:
-            dropped = len(state.queue)
-            if dropped:
-                state.queue.clear()
-                state.shed += dropped
-                self.telemetry.chunks_dropped(dropped)
+            self._drop_queued(state)
             session = state.session
-            try:
-                session.finalize()
-            except FeatureError as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                session.closed = True
+            error = state.failed
+            if error is None:
+                try:
+                    session.finalize()
+                except FeatureError as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+            session.closed = True
             trailing = tuple(session.poll_events())
         with self._lock:
             self._sessions.pop(session_id, None)
@@ -347,6 +401,14 @@ class SessionManager:
             trailing_events=trailing,
             error=error,
         )
+
+    def _drop_queued(self, state: _SessionState) -> None:
+        """Count a session's undecided chunks as shed (caller holds its lock)."""
+        dropped = len(state.queue)
+        if dropped:
+            state.queue.clear()
+            state.shed += dropped
+            self.telemetry.chunks_dropped(dropped)
 
     def close_all(self) -> list[SessionSummary]:
         return [self.close_session(sid) for sid in self.session_ids]

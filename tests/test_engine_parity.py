@@ -526,13 +526,6 @@ class TestKernelBackendParity:
         default = self._report_json(dataset, monkeypatch, None)
         assert ref == vec == default
 
-    def test_compiled_request_byte_identical(self, dataset, monkeypatch):
-        # With numba absent the registry degrades per-kernel; either way
-        # the report must not change.
-        compiled = self._report_json(dataset, monkeypatch, "compiled")
-        default = self._report_json(dataset, monkeypatch, None)
-        assert compiled == default
-
     def test_invalid_backend_fails_loud(self, dataset, monkeypatch):
         from repro.exceptions import KernelError
 

@@ -2,31 +2,28 @@
 chunking and worker count, drain-on-stop, dead-shard surfacing, and the
 single client-facing listener in front of N worker processes.
 
-The worker-side dispatch (`shard_dispatch`) is exercised in-process —
-it is the exact function the spawned shard runs, so backpressure and
-error-frame behavior are pinned deterministically without paying a
-process spawn per case.  The spawning tests keep to a handful of pool
-lifecycles to stay fast.
+The worker-side dispatch (`DetectionService.dispatch`) is exercised
+in-process — it is the exact op table each spawned shard runs, so
+backpressure and error-frame behavior are pinned deterministically
+without paying a process spawn per case.  The spawning tests keep to a
+handful of pool lifecycles to stay fast.
 """
 
 import asyncio
 import json
-import queue
 import struct
-import threading
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ServiceError
 from repro.service import (
+    DetectionService,
     ServiceConfig,
     ServiceShardPool,
-    SessionManager,
     batch_window_decisions,
     shard_index_of,
 )
-from repro.service.fleet import shard_dispatch
 from repro.service.framing import chunk_message
 
 FS = 256
@@ -43,26 +40,6 @@ async def request(reader, writer, message):
     await writer.drain()
     (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
     return json.loads(await reader.readexactly(length))
-
-
-def start_consumer(manager, dirty):
-    """The exact consumer loop `_shard_worker_main` runs."""
-
-    def consume():
-        while True:
-            session_id = dirty.get()
-            try:
-                if session_id is None:
-                    return
-                manager.pump(session_id, max_chunks=1)
-            except ServiceError:
-                pass
-            finally:
-                dirty.task_done()
-
-    thread = threading.Thread(target=consume, daemon=True)
-    thread.start()
-    return thread
 
 
 class TestRouting:
@@ -88,57 +65,59 @@ class TestRouting:
 
 
 class TestShardDispatch:
-    """The worker's frame handler, unit-tested without a process."""
+    """The shard's frame handler, unit-tested without a process."""
 
     def test_backpressure_is_deterministic_and_surfaced(self):
         # No consumer: the queue can only fill, so the second chunk's
         # rejection is deterministic — the exact frames a pool client
         # sees when a shard is saturated.
-        manager = SessionManager(
-            ServiceConfig(queue_depth=1, backpressure="reject")
-        )
-        dirty = queue.Queue()
-        opened = shard_dispatch(
-            manager, dirty, {"op": "open", "session": "p"}
-        )
-        assert opened == {"ok": True, "session": "p"}
-        first = shard_dispatch(
-            manager, dirty, chunk_message("p", 0, np.zeros((2, FS)))
-        )
-        second = shard_dispatch(
-            manager, dirty, chunk_message("p", 1, np.zeros((2, FS)))
-        )
-        assert first["ok"] and first["accepted"]
-        assert second["ok"] and not second["accepted"]
-        assert "reject" in second["reason"]
-        # Only the admitted chunk marked the session dirty.
-        assert dirty.qsize() == 1
+        async def go():
+            service = DetectionService(
+                ServiceConfig(queue_depth=1, backpressure="reject")
+            )
+            opened = await service.dispatch({"op": "open", "session": "p"})
+            assert opened == {"ok": True, "session": "p"}
+            first = await service.dispatch(
+                chunk_message("p", 0, np.zeros((2, FS)))
+            )
+            second = await service.dispatch(
+                chunk_message("p", 1, np.zeros((2, FS)))
+            )
+            assert first["ok"] and first["accepted"]
+            assert second["ok"] and not second["accepted"]
+            assert "reject" in second["reason"]
+            # Only the admitted chunk is queued.
+            assert service.manager.queue_depth("p") == 1
+
+        run(go())
 
     def test_shed_oldest_counts_surface(self):
-        manager = SessionManager(
-            ServiceConfig(queue_depth=1, backpressure="shed-oldest")
-        )
-        dirty = queue.Queue()
-        shard_dispatch(manager, dirty, {"op": "open", "session": "p"})
-        shard_dispatch(
-            manager, dirty, chunk_message("p", 0, np.zeros((2, FS)))
-        )
-        reply = shard_dispatch(
-            manager, dirty, chunk_message("p", 1, np.zeros((2, FS)))
-        )
-        assert reply["ok"] and reply["accepted"] and reply["shed"] == 1
+        async def go():
+            service = DetectionService(
+                ServiceConfig(queue_depth=1, backpressure="shed-oldest")
+            )
+            await service.dispatch({"op": "open", "session": "p"})
+            await service.dispatch(chunk_message("p", 0, np.zeros((2, FS))))
+            reply = await service.dispatch(
+                chunk_message("p", 1, np.zeros((2, FS)))
+            )
+            assert reply["ok"] and reply["accepted"] and reply["shed"] == 1
+
+        run(go())
 
     def test_error_frames_match_single_process_service(self):
-        manager = SessionManager(ServiceConfig())
-        dirty = queue.Queue()
-        bad_op = shard_dispatch(manager, dirty, {"op": "bogus"})
-        missing = shard_dispatch(manager, dirty, {"op": "open"})
-        ghost = shard_dispatch(
-            manager, dirty, chunk_message("ghost", 0, np.zeros((2, FS)))
-        )
-        assert not bad_op["ok"] and "bogus" in bad_op["error"]
-        assert not missing["ok"] and "session" in missing["error"]
-        assert not ghost["ok"] and "ghost" in ghost["error"]
+        async def go():
+            service = DetectionService(ServiceConfig())
+            bad_op = await service.dispatch({"op": "bogus"})
+            missing = await service.dispatch({"op": "open"})
+            ghost = await service.dispatch(
+                chunk_message("ghost", 0, np.zeros((2, FS)))
+            )
+            assert not bad_op["ok"] and "bogus" in bad_op["error"]
+            assert not missing["ok"] and "session" in missing["error"]
+            assert not ghost["ok"] and "ghost" in ghost["error"]
+
+        run(go())
 
     def test_full_session_round_trip_matches_batch(self, sample_record):
         n = 20 * FS
@@ -147,35 +126,32 @@ class TestShardDispatch:
                 data=sample_record.data[:, :n], fs=sample_record.fs
             )
         )
-        manager = SessionManager(ServiceConfig())
-        dirty = queue.Queue()
-        start_consumer(manager, dirty)
-        shard_dispatch(manager, dirty, {"op": "open", "session": "p"})
-        for seq in range(4):
-            lo = seq * 5 * FS
-            reply = shard_dispatch(
-                manager,
-                dirty,
-                chunk_message(
-                    "p", seq, sample_record.data[:, lo : lo + 5 * FS]
-                ),
-            )
-            assert reply["ok"] and reply["accepted"]
-        polled = shard_dispatch(
-            manager, dirty, {"op": "poll", "session": "p"}
-        )
-        closed = shard_dispatch(
-            manager, dirty, {"op": "close", "session": "p"}
-        )
-        assert polled["ok"] and closed["ok"]
-        decided = polled["events"] + closed["trailing_events"]
-        assert decided == [d.to_dict() for d in expected]
-        shutdown = shard_dispatch(manager, dirty, {"op": "shutdown"})
-        assert shutdown["ok"]
-        telemetry = shutdown["telemetry"]
-        assert telemetry["chunks"]["processed"] == 4
-        assert "samples_ms" in telemetry["latency"]
-        dirty.put(None)
+
+        async def go():
+            async with DetectionService(ServiceConfig()) as service:
+                await service.dispatch({"op": "open", "session": "p"})
+                for seq in range(4):
+                    lo = seq * 5 * FS
+                    reply = await service.dispatch(
+                        chunk_message(
+                            "p", seq, sample_record.data[:, lo : lo + 5 * FS]
+                        ),
+                    )
+                    assert reply["ok"] and reply["accepted"]
+                polled = await service.dispatch({"op": "poll", "session": "p"})
+                closed = await service.dispatch(
+                    {"op": "close", "session": "p"}
+                )
+                assert polled["ok"] and closed["ok"]
+                decided = polled["events"] + closed["trailing_events"]
+                assert decided == [d.to_dict() for d in expected]
+                shutdown = await service.dispatch({"op": "shutdown"})
+                assert shutdown["ok"]
+                telemetry = shutdown["telemetry"]
+                assert telemetry["chunks"]["processed"] == 4
+                assert "samples_ms" in telemetry["latency"]
+
+        run(go())
 
 
 class TestShardPool:

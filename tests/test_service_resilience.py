@@ -14,9 +14,7 @@ The hard contracts of the hardened fleet:
 
 import asyncio
 import os
-import queue
 import signal
-import threading
 
 import pytest
 
@@ -26,11 +24,9 @@ from repro.service import (
     ForestWindowDetector,
     ServiceConfig,
     ServiceShardPool,
-    SessionManager,
     batch_window_decisions,
     shard_index_of,
 )
-from repro.service.fleet import shard_dispatch
 from repro.service.framing import chunk_message
 
 FS = 256
@@ -42,24 +38,6 @@ def run(coro):
 
 def truncated(record, n_samples):
     return type(record)(data=record.data[:, :n_samples], fs=record.fs)
-
-
-def start_consumer(manager, dirty):
-    """The exact consumer loop the spawned shard worker runs."""
-
-    def consume():
-        while True:
-            session_id = dirty.get()
-            try:
-                if session_id is None:
-                    return
-                manager.pump(session_id, max_chunks=1)
-            except ServiceError:
-                pass
-            finally:
-                dirty.task_done()
-
-    threading.Thread(target=consume, daemon=True).start()
 
 
 async def kill_shard(pool, index):
@@ -221,9 +199,6 @@ class TestHotSwap:
         the default for later opens."""
         state = fitted_detector.to_state()
         config = ServiceConfig(queue_depth=64)
-        manager = SessionManager(config)
-        dirty = queue.Queue()
-        start_consumer(manager, dirty)
         n = 10 * FS
         forest_batch = batch_window_decisions(
             truncated(sample_record, n),
@@ -231,46 +206,50 @@ class TestHotSwap:
             config,
         )
 
-        opened = shard_dispatch(
-            manager, dirty, {"op": "open", "session": "a", "state": state}
-        )
-        assert opened["ok"]
-        for seq in range(5):
-            lo = seq * 2 * FS
-            reply = shard_dispatch(
-                manager, dirty,
-                chunk_message(
-                    "a", seq, sample_record.data[:, lo : lo + 2 * FS]
-                ),
-            )
-            assert reply["ok"] and reply["accepted"]
-        polled = shard_dispatch(manager, dirty, {"op": "poll", "session": "a"})
-        assert polled["events"] == [d.to_dict() for d in forest_batch]
+        async def go():
+            async with DetectionService(config) as service:
+                opened = await service.dispatch(
+                    {"op": "open", "session": "a", "state": state}
+                )
+                assert opened["ok"]
+                for seq in range(5):
+                    lo = seq * 2 * FS
+                    reply = await service.dispatch(
+                        chunk_message(
+                            "a", seq, sample_record.data[:, lo : lo + 2 * FS]
+                        ),
+                    )
+                    assert reply["ok"] and reply["accepted"]
+                polled = await service.dispatch({"op": "poll", "session": "a"})
+                assert polled["events"] == [d.to_dict() for d in forest_batch]
 
-        # Swap the (sole) live session; the verb reports it.
-        swapped = shard_dispatch(
-            manager, dirty, {"op": "swap_detector", "state": state}
-        )
-        assert swapped == {"ok": True, "sessions": 1}
-        # Sessions opened after the swap inherit the swapped default.
-        shard_dispatch(manager, dirty, {"op": "open", "session": "b"})
-        for seq in range(5):
-            lo = seq * 2 * FS
-            shard_dispatch(
-                manager, dirty,
-                chunk_message(
-                    "b", seq, sample_record.data[:, lo : lo + 2 * FS]
-                ),
-            )
-        polled_b = shard_dispatch(
-            manager, dirty, {"op": "poll", "session": "b"}
-        )
-        assert polled_b["events"] == [d.to_dict() for d in forest_batch]
-        # A bad state payload is a structured error, not a crash.
-        bad = shard_dispatch(
-            manager, dirty, {"op": "swap_detector", "state": {"kind": "x"}}
-        )
-        assert not bad["ok"] and bad["code"] == "protocol"
+                # Swap the (sole) live session; the verb reports it.
+                swapped = await service.dispatch(
+                    {"op": "swap_detector", "state": state}
+                )
+                assert swapped == {"ok": True, "sessions": 1}
+                # Sessions opened after the swap inherit the swapped default.
+                await service.dispatch({"op": "open", "session": "b"})
+                for seq in range(5):
+                    lo = seq * 2 * FS
+                    await service.dispatch(
+                        chunk_message(
+                            "b", seq, sample_record.data[:, lo : lo + 2 * FS]
+                        ),
+                    )
+                polled_b = await service.dispatch(
+                    {"op": "poll", "session": "b"}
+                )
+                assert polled_b["events"] == [
+                    d.to_dict() for d in forest_batch
+                ]
+                # A bad state payload is a structured error, not a crash.
+                bad = await service.dispatch(
+                    {"op": "swap_detector", "state": {"kind": "x"}}
+                )
+                assert not bad["ok"] and bad["code"] == "protocol"
+
+        run(go())
 
     def test_pool_swap_survives_a_shard_kill(
         self, sample_record, fitted_detector

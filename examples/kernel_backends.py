@@ -1,96 +1,79 @@
-"""Kernel registry walkthrough: backends, parity gates, and plans.
+"""Feature-kernel walkthrough: the lookup, bitwise parity, and plans.
 
-Shows the feature-kernel registry end to end:
+Shows the batched feature kernels end to end:
 
-1. resolution — which backend a kernel call actually runs, and the three
-   ways to choose one (default, ``REPRO_KERNEL_BACKEND``, ``prefer=``);
-2. the bitwise-parity contract — the vectorized backend reproduces the
-   looped scalar reference bit for bit, which is what keeps cohort
-   reports byte-identical across backends;
-3. the registration gate — a diverging implementation is *refused* with
-   :class:`~repro.exceptions.KernelError` and never becomes resolvable;
-4. plans — the precomputed wavelet filter banks and embedding grids the
+1. lookup — ``get_kernel(name)`` hands out the production batched kernel
+   for each of the five names the paper's extractor uses; any other
+   name is refused with :class:`~repro.exceptions.KernelError`;
+2. the bitwise-parity contract — each batched kernel reproduces the
+   looped scalar oracle in :mod:`repro.kernels.reference` bit for bit,
+   which is what keeps cohort reports byte-identical to the per-window
+   path;
+3. plans — the precomputed wavelet filter banks and embedding grids the
    batched kernels share across windows;
-5. the end-to-end effect on :class:`Paper10FeatureExtractor` batches.
+4. the end-to-end effect on :class:`Paper10FeatureExtractor` batches.
 
 Run:
     PYTHONPATH=src python examples/kernel_backends.py
 """
 
-import os
 import time
 
 import numpy as np
 
 from repro.exceptions import KernelError
 from repro.features.paper10 import Paper10FeatureExtractor
-from repro.kernels import (
-    available_backends,
-    embedding_plan,
-    get_kernel,
-    register_kernel,
-    registered_kernels,
-    wavelet_plan,
+from repro.kernels import embedding_plan, get_kernel, wavelet_plan
+from repro.kernels.reference import (
+    permutation_entropy_reference,
+    sample_entropy_reference,
 )
 
 rng = np.random.default_rng(7)
 
-# ── 1. What is registered, and what resolves ────────────────────────────
-print("registered kernels:")
-for name, backends in registered_kernels().items():
-    print(f"  {name:22s} {backends}")
-print()
-
-windows = rng.standard_normal((64, 64))  # 64 windows of a DWT subband
-
-sampen = get_kernel("sample_entropy")  # default: vectorized
-print("default backend row 0:", sampen(windows, m=2, k=0.2)[0])
-
-os.environ["REPRO_KERNEL_BACKEND"] = "reference"  # env override
+# ── 1. One fixed lookup ─────────────────────────────────────────────────
+for name in (
+    "band_powers",
+    "dwt_details",
+    "permutation_entropy",
+    "renyi_entropy",
+    "sample_entropy",
+):
+    kernel = get_kernel(name)
+    print(f"  {name:22s} -> {kernel.__module__}.{kernel.__name__}")
 try:
-    ref_rows = get_kernel("sample_entropy")(windows, m=2, k=0.2)
-finally:
-    del os.environ["REPRO_KERNEL_BACKEND"]
-print("env-selected reference :", ref_rows[0])
-
-# prefer= beats both; an unknown backend name is refused, never guessed.
-try:
-    get_kernel("sample_entropy", prefer="turbo")
+    get_kernel("turbo_entropy")
 except KernelError as err:
-    print(f"prefer='turbo' refused: {err}\n")
+    print(f"unknown name refused: {err}\n")
 
 # ── 2. The parity contract is bitwise, not approximate ──────────────────
-vec = get_kernel("sample_entropy", prefer="vectorized")(windows, m=2, k=0.2)
-assert np.array_equal(vec, ref_rows)
-print("vectorized == reference bitwise:", np.array_equal(vec, ref_rows), "\n")
+windows = rng.standard_normal((64, 64))  # 64 windows of a DWT subband
 
-# ── 3. A wrong implementation cannot register ───────────────────────────
-def off_by_a_little(batch, **kwargs):
-    return get_kernel("sample_entropy", prefer="reference")(batch, **kwargs) + 1e-6
+vec = get_kernel("sample_entropy")(windows, m=2, k=0.2)
+ref = sample_entropy_reference(windows, m=2, k=0.2)
+assert np.array_equal(vec, ref)
+print("sample entropy, batched == looped reference:", np.array_equal(vec, ref))
 
-shipped = get_kernel("sample_entropy", prefer="vectorized")
-try:
-    register_kernel("sample_entropy", "vectorized", off_by_a_little)
-except KernelError as err:
-    print(f"registration refused: {err}")
-assert get_kernel("sample_entropy", prefer="vectorized") is shipped
-print("backends unchanged:", available_backends("sample_entropy"), "\n")
+vec = get_kernel("permutation_entropy")(windows, order=5)
+ref = permutation_entropy_reference(windows, order=5)
+assert np.array_equal(vec, ref)
+print("permutation entropy, batched == looped reference:", np.array_equal(vec, ref), "\n")
 
-# ── 4. Plans: shared precomputed state ──────────────────────────────────
+# ── 3. Plans: shared precomputed state ──────────────────────────────────
 plan = wavelet_plan(wavelet=4, level=7)  # filter bank built once, cached
 details = plan.details_batch(rng.standard_normal((8, 1024)))
 print("DWT plan levels:", sorted(details), "level-7 shape:", details[7].shape)
 print("embedding grid (n=6, m=2, delay=2):")
 print(embedding_plan(6, 2, delay=2), "\n")
 
-# ── 5. End to end: the paper's 10 features, batched ─────────────────────
+# ── 4. End to end: the paper's 10 features, batched ─────────────────────
 extractor = Paper10FeatureExtractor()
 batch = rng.standard_normal((120, 2, 1024))  # 2 minutes of 256 Hz windows
 
 t0 = time.perf_counter()
 loop_rows = np.stack(
     [extractor.extract_window(w, 256.0) for w in batch]
-)  # the old per-window path
+)  # the per-window scalar path
 t_loop = time.perf_counter() - t0
 
 t0 = time.perf_counter()

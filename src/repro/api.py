@@ -132,16 +132,16 @@ def evaluate_cohort(
     samples_per_seizure: int | None = None,
     patient_ids: "list[int] | tuple[int, ...] | None" = None,
     duration_range_s: tuple[float, float] | None = None,
-    executor: str | None = None,
+    executor: str = "process",
     max_workers: int | None = None,
     **engine_kwargs,
 ) -> "CohortReport":
     """Run the Sec. VI-A cohort evaluation on the parallel engine.
 
     One call wires the environment-resolved :class:`ReproSettings`
-    through engine construction and the run: the executor kind, the
-    samples-per-seizure count, and the paper-vs-quick record durations
-    all follow the settings snapshot unless explicitly overridden.
+    through the run: the samples-per-seizure count and the
+    paper-vs-quick record durations follow the settings snapshot unless
+    explicitly overridden.
     ``quick=True`` shrinks records to :data:`QUICK_DURATION_RANGE_S` for
     smoke-test runtimes (ignored when the settings demand paper
     durations or an explicit range is given).
@@ -160,7 +160,6 @@ def evaluate_cohort(
         )
     engine = CohortEngine(
         dataset,
-        settings=settings,
         executor=executor,
         max_workers=max_workers,
         **engine_kwargs,

@@ -65,7 +65,6 @@ from .engine import (
     cohort_tasks,
     collect_shards,
     config_digest,
-    default_executor,
     load_plan,
     merge_checkpoints,
     merge_shards,
@@ -226,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cohort.add_argument(
         "--executor",
-        choices=("process", "thread", "serial"),
-        default=None,
-        help="pool kind (default: $REPRO_ENGINE_EXECUTOR, else process)",
+        choices=("process", "serial"),
+        default="process",
+        help="pool kind (default: process; serial runs in-process)",
     )
     p_cohort.add_argument(
         "--duration-min",
@@ -388,9 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
         "a .ckpt suffix)",
     )
     p_srun.add_argument(
-        "--executor", choices=("process", "thread", "serial"), default=None,
-        help="pool kind inside this shard (default: "
-        "$REPRO_ENGINE_EXECUTOR, else process)",
+        "--executor", choices=("process", "serial"), default="process",
+        help="pool kind inside this shard (default: process)",
     )
     p_srun.add_argument(
         "--workers", type=int, default=None,
@@ -459,9 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
         "parallelism comes from concurrent shards)",
     )
     p_sorch.add_argument(
-        "--executor", choices=("process", "thread", "serial"), default=None,
-        help="pool kind inside each shard (default: "
-        "$REPRO_ENGINE_EXECUTOR, else process)",
+        "--executor", choices=("process", "serial"), default=None,
+        help="pool kind inside each shard (default: process)",
     )
     p_sorch.add_argument(
         "--store", default="", metavar="DIR",
@@ -789,12 +786,11 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
             )
             return 2
     try:
-        executor = args.executor or default_executor()
         dataset = SyntheticEEGDataset(duration_range_s=duration_range_s)
         engine = CohortEngine(
             dataset,
             max_workers=args.workers,
-            executor=executor,
+            executor=args.executor,
             chunk_s=args.chunk_s if args.chunk_s is not None else DEFAULT_CHUNK_S,
             store_dir=args.store or None,
         )
@@ -840,7 +836,7 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
                 f"reached {checkpoint.compact_dead_lines})"
             )
     print(
-        f"executed in {elapsed:.1f} s ({executor}, "
+        f"executed in {elapsed:.1f} s ({args.executor}, "
         f"{engine.effective_workers(report.n_records + report.n_failures)} "
         f"worker(s))"
     )

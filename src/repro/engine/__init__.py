@@ -8,7 +8,7 @@ for any worker count (the equivalence contract the parity tests
 enforce).  Runs are fault-tolerant — per-task exceptions become report
 rows, not pool aborts — and resumable via the persistent feature store.
 
-* :class:`CohortEngine` — the executor (process / thread / serial);
+* :class:`CohortEngine` — the executor (a process pool, or serial);
 * :class:`RecordTask` / :func:`cohort_tasks` — the shardable work list;
 * :class:`CohortReport` — deterministic Table I/II-style aggregation,
   including the per-task failures section;
@@ -47,12 +47,7 @@ from .chunked import (
     extract_features_chunked,
     extract_features_from_source,
 )
-from .executor import (
-    ENV_EXECUTOR,
-    CohortEngine,
-    EngineConfig,
-    default_executor,
-)
+from .executor import CohortEngine, EngineConfig
 from .report import CohortReport, PatientSummary, RecordOutcome
 from .selflearning import SelfLearningDriver, SelfLearningTask
 from .sharding import (
@@ -76,7 +71,6 @@ from .tasks import RecordTask, cohort_tasks
 __all__ = [
     "DEFAULT_CHUNK_S",
     "DEFAULT_COMPACT_DEAD_LINES",
-    "ENV_EXECUTOR",
     "SHARD_STRATEGIES",
     "CohortCheckpoint",
     "CohortEngine",
@@ -96,7 +90,6 @@ __all__ = [
     "cohort_tasks",
     "collect_shards",
     "config_digest",
-    "default_executor",
     "extract_features_chunked",
     "extract_features_from_source",
     "feature_cache_key",

@@ -47,11 +47,7 @@ uninterrupted run.
 from __future__ import annotations
 
 import os
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from ..core.deviation import deviation, normalized_deviation
@@ -62,7 +58,6 @@ from ..data.sources import RecordSource
 from ..exceptions import EngineError
 from ..features.base import FeatureExtractor
 from ..ml.metrics import classification_report
-from ..settings import ReproSettings
 from ..signals.windowing import WindowSpec
 from .cache import FeatureCache
 from .checkpoint import (
@@ -76,31 +71,10 @@ from .report import CohortReport, RecordOutcome
 from .store import DiskFeatureStore
 from .tasks import RecordTask, cohort_tasks
 
-__all__ = ["EngineConfig", "CohortEngine", "ENV_EXECUTOR", "default_executor"]
+__all__ = ["EngineConfig", "CohortEngine"]
 
 #: Supported executor kinds.
-_EXECUTORS = ("process", "thread", "serial")
-
-#: Environment variable selecting the default pool backend (CI runs the
-#: engine suites under both ``process`` and ``thread``).
-ENV_EXECUTOR = "REPRO_ENGINE_EXECUTOR"
-
-
-def default_executor() -> str:
-    """Resolve the default executor kind from the environment.
-
-    An unset/empty variable means ``"process"`` (true parallelism for
-    the numpy/Python mix of the extractors); an unknown value raises
-    rather than silently running on the wrong backend.
-    """
-    raw = os.environ.get(ENV_EXECUTOR, "").strip().lower()
-    if not raw:
-        return "process"
-    if raw not in _EXECUTORS:
-        raise EngineError(
-            f"{ENV_EXECUTOR} must be one of {_EXECUTORS}, got {raw!r}"
-        )
-    return raw
+_EXECUTORS = ("process", "serial")
 
 
 @dataclass(frozen=True)
@@ -282,11 +256,10 @@ class CohortEngine:
     max_workers:
         Pool size (default: the machine's CPU count).
     executor:
-        ``"process"`` (true parallelism for the numpy/Python mix of the
-        feature extractors), ``"thread"``, or ``"serial"`` (no pool —
-        the reference path the parity tests compare against).  ``None``
-        (the default) resolves via :envvar:`REPRO_ENGINE_EXECUTOR`,
-        falling back to ``"process"``.
+        ``"process"`` (the default: true parallelism for the
+        numpy/Python mix of the feature extractors) or ``"serial"`` (no
+        pool — the reference path the parity tests compare against, and
+        the path a run with one worker takes anyway).
     extractor / spec / method / grid_step:
         Pipeline configuration, as for
         :class:`~repro.core.labeling.APosterioriLabeler`.
@@ -309,13 +282,6 @@ class CohortEngine:
         dead journal lines, the journal is compacted before new appends
         (``None`` disables; a :class:`CohortCheckpoint` object passed to
         :meth:`run` keeps its own setting).
-    settings:
-        A resolved :class:`~repro.settings.ReproSettings` snapshot
-        supplying the default executor kind when ``executor`` is not
-        given — long-lived hosts (the detection service) resolve the
-        environment once and thread the same snapshot everywhere,
-        instead of re-reading :envvar:`REPRO_ENGINE_EXECUTOR` per
-        engine.  ``None`` keeps the per-call environment lookup.
     """
 
     def __init__(
@@ -323,8 +289,7 @@ class CohortEngine:
         dataset: SyntheticEEGDataset,
         *,
         max_workers: int | None = None,
-        executor: str | None = None,
-        settings: "ReproSettings | None" = None,
+        executor: str = "process",
         extractor: FeatureExtractor | None = None,
         spec: WindowSpec | None = None,
         method: str = "fast",
@@ -336,10 +301,6 @@ class CohortEngine:
         store_max_bytes: int | None = None,
         checkpoint_compact_dead_lines: int | None = DEFAULT_COMPACT_DEAD_LINES,
     ) -> None:
-        if executor is None:
-            executor = (
-                settings.engine_executor if settings else default_executor()
-            )
         if executor not in _EXECUTORS:
             raise EngineError(
                 f"executor must be one of {_EXECUTORS}, got {executor!r}"
@@ -377,8 +338,8 @@ class CohortEngine:
             store_dir=str(store_dir) if store_dir else None,
             store_max_bytes=store_max_bytes,
         )
-        #: Serial/thread context, built lazily and reused across runs so
-        #: the feature cache persists in-process.
+        #: Serial context, built lazily and reused across runs so the
+        #: feature cache persists in-process.
         self._context: _WorkerContext | None = None
 
     # ------------------------------------------------------------------
@@ -389,7 +350,7 @@ class CohortEngine:
 
     def cache_stats(self) -> dict[str, int]:
         """Feature-cache counters of the in-process context (serial and
-        thread runs; process workers keep their own caches)."""
+        single-worker runs; pool workers keep their own caches)."""
         return self._local_context().cache.stats()
 
     # ------------------------------------------------------------------
@@ -571,18 +532,13 @@ class CohortEngine:
                     raise strict_error()
             return outcomes
 
-        if executor == "thread":
-            pool = ThreadPoolExecutor(max_workers=n_workers)
-            run_one = self._local_context().process_safe
-        else:
-            pool = ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_init_worker,
-                initargs=(self.config,),
-            )
-            run_one = _run_task
+        pool = ProcessPoolExecutor(
+            max_workers=n_workers,
+            initializer=_init_worker,
+            initargs=(self.config,),
+        )
         try:
-            futures = [pool.submit(run_one, task) for task in pending]
+            futures = [pool.submit(_run_task, task) for task in pending]
             for future in as_completed(futures):
                 if not admit(future.result()):
                     pool.shutdown(wait=False, cancel_futures=True)

@@ -476,7 +476,7 @@ def run_shard(
     *,
     journal: str | os.PathLike | CohortCheckpoint,
     dataset: SyntheticEEGDataset | None = None,
-    executor: str | None = None,
+    executor: str = "process",
     max_workers: int | None = None,
     chunk_s: float | None = None,
     store_dir: str | None = None,

@@ -25,7 +25,7 @@ def lehmer_codes(ranks: np.ndarray) -> np.ndarray:
 
     ``ranks`` holds one permutation of ``0..order-1`` per row; the result is
     the lexicographic rank in ``[0, order!)``.  Shared by the per-window
-    path below and the batched kernel backends (which reshape their
+    path below and the batched kernels (which reshape their
     ``(n_windows, n_vectors, order)`` rank tensors to rows), so both encode
     ordinal patterns with the exact same integer arithmetic.
     """

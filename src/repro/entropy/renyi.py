@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from ..exceptions import SignalError
+from .shannon import histogram_edges
 
 __all__ = ["renyi_entropy"]
 
@@ -42,8 +43,15 @@ def renyi_entropy(
     Returns
     -------
     float
-        Entropy in bits.  Empty or constant series carry no amplitude
+        Entropy in bits.  Empty or constant series (or spreads too
+        small to resolve into ``bins`` bins) carry no amplitude
         information and return 0.0.
+
+    Raises
+    ------
+    SignalError
+        If the value range is NaN or infinite (see
+        :func:`~repro.entropy.shannon.histogram_edges`).
     """
     if alpha <= 0:
         raise SignalError(f"Renyi order alpha must be positive, got {alpha}")
@@ -52,7 +60,7 @@ def renyi_entropy(
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise SignalError(f"expected 1-D series, got shape {x.shape}")
-    if x.size == 0 or np.ptp(x) == 0.0:
+    if x.size == 0 or not histogram_edges(x, bins)[1]:
         return 0.0
     counts, _ = np.histogram(x, bins=bins)
     p = counts[counts > 0] / x.size

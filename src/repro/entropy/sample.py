@@ -23,7 +23,7 @@ def embedding_indices(n: int, m: int, delay: int = 1) -> np.ndarray:
 
     Row ``i`` holds the indices ``i, i + delay, ..., i + (m - 1) * delay``;
     ``x[embedding_indices(x.size, m)]`` is the embedding matrix the template
-    matchers below and the batched kernel backends both build from, so the
+    matchers below and the batched kernels both build from, so the
     reference and vectorized paths share one embedding construction.
     """
     n_vec = n - (m - 1) * delay

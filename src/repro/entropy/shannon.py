@@ -13,7 +13,38 @@ import numpy as np
 from ..exceptions import SignalError
 from ..signals.spectral import welch_psd
 
-__all__ = ["shannon_entropy", "spectral_entropy"]
+__all__ = ["shannon_entropy", "spectral_entropy", "histogram_edges"]
+
+
+def histogram_edges(x: np.ndarray, bins: int, axis: int | None = None):
+    """The ``bins + 1`` equal-width edges ``np.histogram`` builds over the
+    [min, max] of ``x`` (per row, with ``axis=1``), and whether they
+    resolve the values, i.e. strictly increase.
+
+    They do not for a constant series, nor for a spread of a few
+    subnormal steps, where numpy's edges collide (and ``np.histogram``
+    raises ``ValueError``).  Such a series carries no resolvable
+    amplitude information: every histogram entropy path returns 0.0.
+
+    Raises
+    ------
+    SignalError
+        If the range is NaN or overflows to infinity (a NaN or infinite
+        sample, or finite extremes such as ``-1e308`` and ``1e308``):
+        there are no finite edges, and numpy would raise a bare
+        ``ValueError`` (or, in the batched kernel, index garbage).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = np.min(x, axis=axis)
+        last = np.max(x, axis=axis)
+        span = last - first
+    if not np.all(np.isfinite(span)):
+        raise SignalError(
+            "value range is NaN or overflows to infinity: no finite "
+            "histogram bins"
+        )
+    edges = np.linspace(first, last, bins + 1, axis=-1)
+    return edges, np.all(edges[..., :-1] < edges[..., 1:], axis=-1)
 
 
 def shannon_entropy(x: np.ndarray, bins: int = 16, normalize: bool = False) -> float:
@@ -27,7 +58,7 @@ def shannon_entropy(x: np.ndarray, bins: int = 16, normalize: bool = False) -> f
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise SignalError(f"expected 1-D series, got shape {x.shape}")
-    if x.size == 0 or np.ptp(x) == 0.0:
+    if x.size == 0 or not histogram_edges(x, bins)[1]:
         return 0.0
     counts, _ = np.histogram(x, bins=bins)
     p = counts[counts > 0] / x.size

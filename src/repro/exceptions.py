@@ -44,10 +44,8 @@ class FeatureError(ReproError):
 
 
 class KernelError(FeatureError):
-    """Raised by the feature-kernel registry: unknown kernel or backend
-    names, a backend requested via ``REPRO_KERNEL_BACKEND`` that is not
-    registered, or a non-reference implementation that fails its
-    differential parity contract at registration time."""
+    """Raised by :func:`repro.kernels.get_kernel` for a name that is not
+    one of the feature kernels."""
 
 
 class LabelingError(ReproError):

@@ -53,7 +53,7 @@ class FeatureExtractor(ABC):
         typically a zero-copy strided view of the record.  The default
         implementation loops :meth:`extract_window`, so every extractor
         supports batching with unchanged per-window semantics; extractors
-        with registered feature kernels (e.g.
+        with batched feature kernels (e.g.
         :class:`~repro.features.paper10.Paper10FeatureExtractor`)
         override this to process all windows at once.  Batch, streaming
         and engine extraction all funnel through this method, so an

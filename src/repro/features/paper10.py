@@ -102,11 +102,11 @@ class Paper10FeatureExtractor(FeatureExtractor):
     def extract_batch(self, windows: np.ndarray, fs: float) -> np.ndarray:
         """All windows at once, through the batched feature kernels.
 
-        Resolves each feature's kernel from :mod:`repro.kernels` (honoring
-        ``REPRO_KERNEL_BACKEND``), so batch, streaming and engine
-        extraction share one implementation.  Every registered backend is
-        parity-gated against the looped :meth:`extract_window` path, and
-        the shipped ``vectorized`` backend reproduces it bit-for-bit.
+        Resolves each kernel through :func:`repro.kernels.get_kernel` at
+        call time, so batch, streaming and engine extraction share one
+        implementation.  The result is bitwise equal to looping
+        :meth:`extract_window` over the windows (the parity suites
+        enforce this).
         """
         from ..kernels import get_kernel
 

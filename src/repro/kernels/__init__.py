@@ -1,180 +1,63 @@
-"""Parity-gated registry of batched (vectorized) feature kernels.
+"""Batched feature kernels behind one fixed lookup.
 
-Importing this package registers every built-in kernel:
+The paper's detector computes a fixed set of ten features per 4 s window
+(Sec. III-A) from five kernels.  Each kernel is *batched*: it takes a
+2-D ``(n_windows, n_samples)`` array of per-window series and returns
+one value row per window (or a dict of per-level arrays, for the DWT
+kernel).
 
-- ``reference`` — the per-window scalar functions, looped (ground truth,
-  and the contract carrier).
-- ``vectorized`` — batched numpy implementations engineered to be
-  bitwise-identical to the reference; the default backend.
+- :mod:`repro.kernels.vectorized` holds the production implementations,
+  engineered to be bitwise-identical to the per-window scalar functions.
+- :mod:`repro.kernels.reference` loops those scalar functions over the
+  rows.  It is the oracle the parity tests and ``bench_kernels.py``
+  import directly; nothing in production calls it.
 
-Select a backend globally with ``REPRO_KERNEL_BACKEND=reference |
-vectorized`` or per call via ``get_kernel(name, prefer=...)``.
-Because every non-reference backend must pass its differential contract
-*at registration*, a cohort run produces byte-identical reports under
-any backend choice — the engine parity suite enforces exactly that.
+:func:`get_kernel` is the seam every extractor resolves kernels through
+at call time, so a profiler can wrap the callables it hands out.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
+from ..exceptions import KernelError
 from .plans import WaveletPlan, embedding_plan, hann_window, wavelet_plan
-from .reference import (
-    approximate_entropy_reference,
-    band_powers_reference,
-    dwt_details_reference,
-    permutation_entropy_reference,
-    renyi_entropy_reference,
-    sample_entropy_reference,
-    shannon_entropy_reference,
-)
-from .registry import (
-    BACKENDS,
-    ENV_BACKEND,
-    KernelContract,
-    available_backends,
-    contract_battery,
-    get_kernel,
-    kernel_backend_from_env,
-    kernel_contract,
-    register_kernel,
-    registered_kernels,
-)
 from .vectorized import (
-    approximate_entropy_vectorized,
     band_powers_vectorized,
     dwt_details_vectorized,
     permutation_entropy_vectorized,
     renyi_entropy_vectorized,
     sample_entropy_vectorized,
-    shannon_entropy_vectorized,
 )
 
 __all__ = [
-    "ENV_BACKEND",
-    "BACKENDS",
-    "KernelContract",
-    "contract_battery",
-    "register_kernel",
     "get_kernel",
-    "kernel_backend_from_env",
-    "available_backends",
-    "registered_kernels",
-    "kernel_contract",
     "WaveletPlan",
     "wavelet_plan",
     "embedding_plan",
     "hann_window",
 ]
 
+_KERNELS: dict[str, Callable] = {
+    "band_powers": band_powers_vectorized,
+    "dwt_details": dwt_details_vectorized,
+    "permutation_entropy": permutation_entropy_vectorized,
+    "renyi_entropy": renyi_entropy_vectorized,
+    "sample_entropy": sample_entropy_vectorized,
+}
 
-def _register_builtin_kernels() -> None:
-    """Register the shipped backends.  Runs once, at package import.
 
-    Each ``vectorized`` registration re-runs its differential contract
-    against the reference right here, so a parity regression in the
-    batched code fails the *import*, not some downstream cohort run.
-    The batteries are kept small (the dedicated parity test suite runs
-    much larger ones) because engine worker processes pay this cost on
-    spawn.
+def get_kernel(name: str) -> Callable:
+    """The batched implementation of kernel ``name``.
+
+    Raises
+    ------
+    KernelError
+        If ``name`` is not one of the five feature kernels.
     """
-    register_kernel(
-        "sample_entropy",
-        "reference",
-        sample_entropy_reference,
-        contract=KernelContract(
-            params=(
-                {"m": 2, "k": 0.2},
-                {"m": 2, "k": 0.35},
-                {"m": 3},
-                {"m": 2, "r": 0.5},
-            ),
-            n_samples=(4, 8, 16, 48),
-        ),
-    )
-    register_kernel("sample_entropy", "vectorized", sample_entropy_vectorized)
-
-    register_kernel(
-        "approximate_entropy",
-        "reference",
-        approximate_entropy_reference,
-        contract=KernelContract(
-            params=({"m": 2, "k": 0.2}, {"m": 3, "k": 0.35}),
-            n_samples=(4, 8, 16, 48),
-        ),
-    )
-    register_kernel(
-        "approximate_entropy", "vectorized", approximate_entropy_vectorized
-    )
-
-    register_kernel(
-        "permutation_entropy",
-        "reference",
-        permutation_entropy_reference,
-        contract=KernelContract(
-            params=(
-                {"order": 3},
-                {"order": 5},
-                {"order": 7},
-                {"order": 3, "delay": 2},
-                {"order": 5, "normalize": False},
-            ),
-            n_samples=(4, 8, 16, 64),
-        ),
-    )
-    register_kernel(
-        "permutation_entropy", "vectorized", permutation_entropy_vectorized
-    )
-
-    register_kernel(
-        "renyi_entropy",
-        "reference",
-        renyi_entropy_reference,
-        contract=KernelContract(
-            params=(
-                {"alpha": 2.0},
-                {"alpha": 1.0},
-                {"alpha": 0.5, "bins": 8, "normalize": True},
-                {"alpha": 3.0, "bins": 32},
-            ),
-            n_samples=(8, 16, 64),
-        ),
-    )
-    register_kernel("renyi_entropy", "vectorized", renyi_entropy_vectorized)
-
-    register_kernel(
-        "shannon_entropy",
-        "reference",
-        shannon_entropy_reference,
-        contract=KernelContract(
-            params=({}, {"bins": 8, "normalize": True}),
-            n_samples=(8, 16, 64),
-        ),
-    )
-    register_kernel("shannon_entropy", "vectorized", shannon_entropy_vectorized)
-
-    register_kernel(
-        "dwt_details",
-        "reference",
-        dwt_details_reference,
-        contract=KernelContract(
-            params=({"level": 2}, {"level": 7}),
-            n_samples=(256, 257),
-        ),
-    )
-    register_kernel("dwt_details", "vectorized", dwt_details_vectorized)
-
-    register_kernel(
-        "band_powers",
-        "reference",
-        band_powers_reference,
-        contract=KernelContract(
-            params=(
-                {"fs": 256.0, "bands": ((4.0, 8.0), (0.0, 128.0), (0.5, 4.0))},
-                {"fs": 64.0, "bands": ((0.5, 4.0), "theta", (0.0, 32.0))},
-            ),
-            n_samples=(64, 256),
-        ),
-    )
-    register_kernel("band_powers", "vectorized", band_powers_vectorized)
-
-
-_register_builtin_kernels()
+    try:
+        return _KERNELS[name]
+    except KeyError:
+        raise KernelError(
+            f"unknown kernel {name!r}; known: {sorted(_KERNELS)}"
+        ) from None

@@ -96,9 +96,11 @@ class WaveletPlan:
         Raises
         ------
         FeatureError
-            If the windows are too short for the requested depth (the
-            same contract as the per-window path) or contain non-finite
-            samples.
+            If the windows are too short for the requested depth, or if
+            any level's input is non-finite: a NaN/inf sample, or finite
+            extremes (e.g. ``1e308``) whose approximation overflows
+            partway down.  Both match the per-window path, whose
+            ``wavedec`` checks every level's input.
         """
         windows = np.asarray(windows, dtype=float)
         if windows.ndim != 2:
@@ -110,11 +112,16 @@ class WaveletPlan:
                 f"signal too short for {self.level}-level decomposition "
                 f"({windows.shape[1]} samples per window)"
             )
-        if not np.all(np.isfinite(windows)):
-            raise FeatureError("window contains NaN or infinite samples")
         approx = windows
         details: dict[int, np.ndarray] = {}
         for lvl in range(1, self.level + 1):
+            if not np.all(np.isfinite(approx)):
+                raise FeatureError(
+                    "window contains NaN or infinite samples"
+                    if lvl == 1
+                    else f"DWT level-{lvl - 1} approximation overflows "
+                    "to NaN or infinite values"
+                )
             approx, det = self._single(approx)
             # The tap accumulation inherits the strided layout of the
             # sliding-window view; hand downstream kernels (and the next

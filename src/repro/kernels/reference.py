@@ -1,11 +1,12 @@
-"""Reference backend: the per-window scalar functions, looped.
+"""Reference kernels: the per-window scalar functions, looped.
 
-Each kernel here simply maps the corresponding scalar implementation
+Each kernel here maps the corresponding scalar implementation
 (:mod:`repro.entropy`, :mod:`repro.features.wavelet_features`,
-:mod:`repro.signals.spectral`) over the window rows.  This is the
-ground truth every other backend is differentially gated against at
-registration time, and the backend ``REPRO_KERNEL_BACKEND=reference``
-selects — byte-for-byte the pre-registry behavior of the extractors.
+:mod:`repro.signals.spectral`) over the window rows, with the same
+signature as its batched twin in :mod:`repro.kernels.vectorized`.  It is
+the oracle ``tests/test_kernels_parity.py`` holds the production kernels
+to bit-for-bit, and the baseline ``benchmarks/bench_kernels.py`` times
+them against; no production path calls it.
 """
 
 from __future__ import annotations
@@ -14,34 +15,18 @@ import numpy as np
 
 from ..entropy.permutation import permutation_entropy
 from ..entropy.renyi import renyi_entropy
-from ..entropy.sample import approximate_entropy, sample_entropy
-from ..entropy.shannon import shannon_entropy
-from ..exceptions import FeatureError
+from ..entropy.sample import sample_entropy
 from ..features.wavelet_features import dwt_details
 from ..signals.spectral import band_power_from_psd, welch_psd
+from .vectorized import _check_windows
 
 __all__ = [
     "sample_entropy_reference",
-    "approximate_entropy_reference",
     "permutation_entropy_reference",
     "renyi_entropy_reference",
-    "shannon_entropy_reference",
     "dwt_details_reference",
     "band_powers_reference",
 ]
-
-
-def _check_windows(windows: np.ndarray) -> np.ndarray:
-    # Contiguity matters for parity, not just speed: numpy reduces
-    # strided rows through a buffered path whose rounding differs from
-    # the contiguous 1-D sums, so every backend normalizes its input to
-    # one C-contiguous float64 layout before any arithmetic.
-    windows = np.ascontiguousarray(windows, dtype=float)
-    if windows.ndim != 2:
-        raise FeatureError(
-            f"kernels take (n_windows, n_samples) batches, got {windows.shape}"
-        )
-    return windows
 
 
 def sample_entropy_reference(
@@ -50,16 +35,6 @@ def sample_entropy_reference(
     windows = _check_windows(windows)
     return np.array(
         [sample_entropy(row, m=m, k=k, r=r) for row in windows], dtype=float
-    )
-
-
-def approximate_entropy_reference(
-    windows: np.ndarray, m: int = 2, k: float = 0.2, r: float | None = None
-) -> np.ndarray:
-    windows = _check_windows(windows)
-    return np.array(
-        [approximate_entropy(row, m=m, k=k, r=r) for row in windows],
-        dtype=float,
     )
 
 
@@ -91,16 +66,6 @@ def renyi_entropy_reference(
             renyi_entropy(row, alpha=alpha, bins=bins, normalize=normalize)
             for row in windows
         ],
-        dtype=float,
-    )
-
-
-def shannon_entropy_reference(
-    windows: np.ndarray, bins: int = 16, normalize: bool = False
-) -> np.ndarray:
-    windows = _check_windows(windows)
-    return np.array(
-        [shannon_entropy(row, bins=bins, normalize=normalize) for row in windows],
         dtype=float,
     )
 

@@ -24,8 +24,8 @@ bits the per-window reference produces.  Three rules make that work:
    corrections) so the counts match ``np.histogram`` everywhere,
    including its pathological rounding cases.
 
-The registration gate in :mod:`repro.kernels.registry` re-verifies all
-of this differentially on every import.
+``tests/test_kernels_parity.py`` verifies all of this bitwise against
+the looped scalar functions in :mod:`repro.kernels.reference`.
 """
 
 from __future__ import annotations
@@ -35,17 +35,15 @@ import math
 import numpy as np
 
 from ..entropy.permutation import lehmer_codes
-from ..exceptions import SignalError
+from ..entropy.shannon import histogram_edges
+from ..exceptions import FeatureError, SignalError
 from ..signals.spectral import EEG_BANDS
 from .plans import embedding_plan, hann_window, wavelet_plan
-from .reference import _check_windows
 
 __all__ = [
     "sample_entropy_vectorized",
-    "approximate_entropy_vectorized",
     "permutation_entropy_vectorized",
     "renyi_entropy_vectorized",
-    "shannon_entropy_vectorized",
     "dwt_details_vectorized",
     "band_powers_vectorized",
 ]
@@ -55,32 +53,35 @@ __all__ = [
 _CHUNK_BYTES = 48_000_000
 
 
+def _check_windows(windows: np.ndarray) -> np.ndarray:
+    # Contiguity matters for parity, not just speed: numpy reduces
+    # strided rows through a buffered path whose rounding differs from
+    # the contiguous 1-D sums, so both the batched kernels and the
+    # looped reference normalize their input to one C-contiguous float64
+    # layout before any arithmetic.
+    windows = np.ascontiguousarray(windows, dtype=float)
+    if windows.ndim != 2:
+        raise FeatureError(
+            f"kernels take (n_windows, n_samples) batches, got {windows.shape}"
+        )
+    return windows
+
+
 # ---------------------------------------------------------------------------
-# Template matching (sample / approximate entropy)
+# Template matching (sample entropy)
 # ---------------------------------------------------------------------------
 
 
 def _match_counts(
-    windows: np.ndarray,
-    idx: np.ndarray,
-    r_rows: np.ndarray,
-    per_template: bool,
+    windows: np.ndarray, idx: np.ndarray, r_rows: np.ndarray
 ) -> np.ndarray:
-    """Chebyshev template-match counts per window.
-
-    With ``per_template=False``: ordered pairs ``i != j`` within
-    tolerance (sample entropy's ``A``/``B`` counters).  With
-    ``per_template=True``: per-template counts *including* the self
-    match (approximate entropy's ``C_i``).  Pure integer output, so any
-    chunking is exact.
-    """
+    """Chebyshev template-match counts per window: ordered pairs
+    ``i != j`` within tolerance (sample entropy's ``A``/``B`` counters).
+    Pure integer output, so any chunking is exact."""
     n_windows = windows.shape[0]
     n_vec, m = idx.shape
-    out_shape = (n_windows, n_vec) if per_template else (n_windows,)
-    out = np.zeros(out_shape, dtype=np.int64)
+    out = np.zeros(n_windows, dtype=np.int64)
     if n_vec < 2:
-        if per_template and n_vec == 1:
-            out[:] = 1
         return out
     per_row = n_vec * n_vec * 9 + n_vec * m * 8
     chunk = max(1, _CHUNK_BYTES // per_row)
@@ -92,36 +93,8 @@ def _match_counts(
             lane = emb[:, :, t]
             np.maximum(dist, np.abs(lane[:, :, None] - lane[:, None, :]), out=dist)
         hits = dist <= r_rows[s : s + chunk, None, None]
-        if per_template:
-            out[s : s + chunk] = hits.sum(axis=2)
-        else:
-            out[s : s + chunk] = hits.sum(axis=(1, 2)) - n_vec
+        out[s : s + chunk] = hits.sum(axis=(1, 2)) - n_vec
     return out
-
-
-def _prepare_tolerance(
-    windows: np.ndarray, m: int, k: float, r: float | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared (out, live_rows, r_per_row) setup for SampEn/ApEn kernels.
-
-    ``out`` starts at the degenerate value 0.0; ``live_rows`` indexes the
-    rows that need matching (non-constant, or all rows when ``r`` is
-    explicit), exactly mirroring the scalar functions' early returns.
-    """
-    if m < 1:
-        raise SignalError(f"template length m must be >= 1, got {m}")
-    n_windows, n = windows.shape
-    out = np.zeros(n_windows)
-    if n < m + 2:
-        return out, np.empty(0, dtype=np.intp), np.empty(0)
-    if r is None:
-        sd = np.std(windows, axis=1)
-        live = np.nonzero(sd != 0.0)[0]
-        r_rows = k * sd
-    else:
-        live = np.arange(n_windows, dtype=np.intp)
-        r_rows = np.full(n_windows, float(r))
-    return out, live, r_rows
 
 
 def _sampen_value(b: int, a: int, n: int, m: int) -> float:
@@ -138,39 +111,30 @@ def sample_entropy_vectorized(
     windows: np.ndarray, m: int = 2, k: float = 0.2, r: float | None = None
 ) -> np.ndarray:
     windows = _check_windows(windows)
-    out, live, r_rows = _prepare_tolerance(windows, m, k, r)
+    if m < 1:
+        raise SignalError(f"template length m must be >= 1, got {m}")
+    n_windows, n = windows.shape
+    # Rows start at the degenerate value 0.0; only the live ones (non-
+    # constant, or all rows when ``r`` is explicit) are matched, exactly
+    # mirroring the scalar function's early returns.
+    out = np.zeros(n_windows)
+    if n < m + 2:
+        return out
+    if r is None:
+        sd = np.std(windows, axis=1)
+        live = np.nonzero(sd != 0.0)[0]
+        r_rows = k * sd
+    else:
+        live = np.arange(n_windows, dtype=np.intp)
+        r_rows = np.full(n_windows, float(r))
     if live.size == 0:
         return out
-    n = windows.shape[1]
     sub = windows[live]
-    b = _match_counts(sub, embedding_plan(n, m), r_rows[live], False)
-    a = _match_counts(sub, embedding_plan(n, m + 1), r_rows[live], False)
+    b = _match_counts(sub, embedding_plan(n, m), r_rows[live])
+    a = _match_counts(sub, embedding_plan(n, m + 1), r_rows[live])
     out[live] = [
         _sampen_value(int(bi), int(ai), n, m) for bi, ai in zip(b, a)
     ]
-    return out
-
-
-def _phi_rows(windows: np.ndarray, mm: int, r_rows: np.ndarray) -> np.ndarray:
-    """ApEn's phi(mm) for every row: mean log self-inclusive match rate."""
-    n = windows.shape[1]
-    idx = embedding_plan(n, mm)
-    counts = _match_counts(windows, idx, r_rows, per_template=True)
-    fracs = counts / idx.shape[0]
-    return np.mean(np.log(fracs), axis=1)
-
-
-def approximate_entropy_vectorized(
-    windows: np.ndarray, m: int = 2, k: float = 0.2, r: float | None = None
-) -> np.ndarray:
-    windows = _check_windows(windows)
-    out, live, r_rows = _prepare_tolerance(windows, m, k, r)
-    if live.size == 0:
-        return out
-    sub = windows[live]
-    out[live] = _phi_rows(sub, m, r_rows[live]) - _phi_rows(
-        sub, m + 1, r_rows[live]
-    )
     return out
 
 
@@ -236,23 +200,24 @@ def permutation_entropy_vectorized(
 
 
 # ---------------------------------------------------------------------------
-# Histogram entropies (Shannon / Rényi)
+# Rényi entropy (histogram estimator)
 # ---------------------------------------------------------------------------
 
 
-def _histogram_rows(windows: np.ndarray, bins: int) -> np.ndarray:
+def _histogram_rows(windows: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """``np.histogram(row, bins)[0]`` for every row, batched.
 
-    Replicates numpy's equal-width fast path — linspace edges over the
-    row's [min, max], truncated linear index map, then the two boundary
-    corrections against the actual edge values — so the counts agree
-    with the scalar call even where the linear map rounds across a bin
-    edge.  Rows must have nonzero range.
+    Replicates numpy's equal-width fast path — the rows' linspace
+    ``edges`` over [min, max], truncated linear index map, then the two
+    boundary corrections against the actual edge values — so the counts
+    agree with the scalar call even where the linear map rounds across a
+    bin edge.  The edges must resolve every row (see
+    :func:`~repro.entropy.shannon.histogram_edges`).
     """
     n_windows, n = windows.shape
+    bins = edges.shape[1] - 1
     first = windows.min(axis=1)
     last = windows.max(axis=1)
-    edges = np.linspace(first, last, bins + 1, axis=1)
     f = ((windows - first[:, None]) / (last - first)[:, None]) * bins
     indices = f.astype(np.intp)
     indices[indices == bins] -= 1
@@ -279,28 +244,6 @@ def _positive_p_groups(counts: np.ndarray, n: int):
         yield rows, vals / n
 
 
-def shannon_entropy_vectorized(
-    windows: np.ndarray, bins: int = 16, normalize: bool = False
-) -> np.ndarray:
-    if bins < 2:
-        raise SignalError(f"need at least 2 histogram bins, got {bins}")
-    windows = _check_windows(windows)
-    n_windows, n = windows.shape
-    out = np.zeros(n_windows)
-    if n == 0:
-        return out
-    live = np.nonzero(np.ptp(windows, axis=1) != 0.0)[0]
-    if live.size == 0:
-        return out
-    counts = _histogram_rows(windows[live], bins)
-    for rows, p in _positive_p_groups(counts, n):
-        h = -np.sum(p * np.log2(p), axis=1)
-        if normalize:
-            h = h / math.log2(bins)
-        out[live[rows]] = h
-    return out
-
-
 def renyi_entropy_vectorized(
     windows: np.ndarray,
     alpha: float = 2.0,
@@ -316,10 +259,11 @@ def renyi_entropy_vectorized(
     out = np.zeros(n_windows)
     if n == 0:
         return out
-    live = np.nonzero(np.ptp(windows, axis=1) != 0.0)[0]
+    edges, resolvable = histogram_edges(windows, bins, axis=1)
+    live = np.nonzero(resolvable)[0]
     if live.size == 0:
         return out
-    counts = _histogram_rows(windows[live], bins)
+    counts = _histogram_rows(windows[live], edges[live])
     shannon_limit = abs(alpha - 1.0) < 1e-12
     for rows, p in _positive_p_groups(counts, n):
         if shannon_limit:

@@ -18,7 +18,7 @@ record, ``session decisions == batch decisions`` byte for byte —
 whatever chunk sizes the stream arrived in.  The service test suite and
 the latency benchmark assert this, extending the repository's
 equivalence discipline (engine vs. sequential, shards vs. single-node,
-kernel backends) to the live path.
+batched vs. per-window kernels) to the live path.
 """
 
 from __future__ import annotations

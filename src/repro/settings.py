@@ -1,16 +1,13 @@
 """One documented home for every ``REPRO_*`` environment knob.
 
-The knobs grew organically, one module at a time: the kernel registry
-reads :envvar:`REPRO_KERNEL_BACKEND`, the engine reads
-:envvar:`REPRO_ENGINE_EXECUTOR`, the sampling protocol reads
-:envvar:`REPRO_SAMPLES_PER_SEIZURE` / :envvar:`REPRO_PAPER_DURATIONS`,
-and the real-time service adds :envvar:`REPRO_SERVICE_QUEUE_DEPTH` /
-:envvar:`REPRO_SERVICE_BACKPRESSURE` /
-:envvar:`REPRO_SERVICE_WORKERS`.  :class:`ReproSettings` resolves
-them all in one place — through the *same* validating parsers each
-subsystem uses, so a bad value fails identically whether it is read here
-or at the point of use — and is threaded as the default-provider into
-:class:`~repro.engine.executor.CohortEngine` (``settings=``) and
+The sampling protocol reads :envvar:`REPRO_SAMPLES_PER_SEIZURE` /
+:envvar:`REPRO_PAPER_DURATIONS`, and the real-time service adds
+:envvar:`REPRO_SERVICE_QUEUE_DEPTH` / :envvar:`REPRO_SERVICE_BACKPRESSURE`
+/ :envvar:`REPRO_SERVICE_WORKERS` and its admission and re-homing
+knobs.  :class:`ReproSettings` resolves them all in one place — through
+the *same* validating parsers each subsystem uses, so a bad value fails
+identically whether it is read here or at the point of use — and is the
+default-provider of :func:`repro.api.evaluate_cohort` and
 :meth:`~repro.service.config.ServiceConfig.from_settings`.
 
 ``ReproSettings.from_env()`` is a snapshot: it captures the environment
@@ -179,12 +176,6 @@ class ReproSettings:
 
     Attributes
     ----------
-    kernel_backend:
-        :envvar:`REPRO_KERNEL_BACKEND` — ``None`` when unset (the
-        registry then picks its default preference order).
-    engine_executor:
-        :envvar:`REPRO_ENGINE_EXECUTOR` resolved to a concrete kind
-        (``process`` when unset).
     samples_per_seizure:
         :envvar:`REPRO_SAMPLES_PER_SEIZURE` — ``None`` when unset, so
         each caller keeps its own documented fallback (the CLI's 1, the
@@ -217,8 +208,6 @@ class ReproSettings:
         resilience).
     """
 
-    kernel_backend: str | None = None
-    engine_executor: str = "process"
     samples_per_seizure: int | None = None
     paper_durations: bool = False
     service_queue_depth: int = DEFAULT_QUEUE_DEPTH
@@ -275,13 +264,9 @@ class ReproSettings:
             duration_range_from_env,
             samples_per_seizure_from_env,
         )
-        from .engine.executor import default_executor
-        from .kernels.registry import kernel_backend_from_env
 
         if env is None:
             env = os.environ
-            kernel = kernel_backend_from_env()
-            executor = default_executor()
             samples = (
                 samples_per_seizure_from_env(0)
                 if env.get(ENV_SAMPLES, "")
@@ -301,8 +286,6 @@ class ReproSettings:
             with unittest.mock.patch.dict(os.environ, env, clear=True):
                 return cls.from_env(None)
         return cls(
-            kernel_backend=kernel,
-            engine_executor=executor,
             samples_per_seizure=samples,
             paper_durations=paper,
             service_queue_depth=_queue_depth_from(env),

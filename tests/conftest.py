@@ -55,8 +55,8 @@ def counter(monkeypatch):
 
     Shared by the fail-fast and checkpoint suites to assert that
     cancelled/skipped work truly never ran.  Counts only in-process
-    execution (serial and thread backends); process-pool workers do not
-    see the patch.
+    execution (the serial path); process-pool workers do not see the
+    patch.
     """
     from repro.engine import executor as executor_module
 

@@ -77,13 +77,17 @@ class TestEvaluateCohort:
         assert report.to_json()
 
     def test_settings_thread_through(self, dataset):
+        from repro.engine import cohort_tasks
+
         report = api.evaluate_cohort(
             dataset,
-            settings=ReproSettings(engine_executor="serial"),
+            settings=ReproSettings(samples_per_seizure=2),
             quick=True,
             patient_ids=[8],
+            executor="serial",
         )
-        assert report.n_records > 0
+        expected = cohort_tasks(dataset, samples_per_seizure=2, patient_ids=[8])
+        assert report.n_records == len(expected) > 0
 
 
 class TestStartService:

@@ -11,7 +11,6 @@ from repro.data.sampling import (
     ENV_SAMPLES,
     PAPER_DURATION_RANGE_S,
 )
-from repro.engine.executor import ENV_EXECUTOR
 
 
 class TestParser:
@@ -237,25 +236,20 @@ class TestCohortScaleResolution:
         assert code == 0
         assert "cohort: 8 records" in out  # 4 seizures x 2 samples
 
-    def test_env_executor_selects_backend(self, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_EXECUTOR, "serial")
-        code = main(
-            [
-                "cohort",
-                "--patients", "8",
-                "--duration-min", "5",
-                "--duration-max", "6",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "(serial," in out
-
-    def test_invalid_env_executor_errors_cleanly(self, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_EXECUTOR, "fleet")
-        code = main(["cohort", "--patients", "8"])
-        assert code == 2
-        assert ENV_EXECUTOR in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cohort"],
+            ["shard", "run", "shard-000.json"],
+            ["shard", "orchestrate", "--out-dir", "plan"],
+        ],
+        ids=["cohort", "shard-run", "shard-orchestrate"],
+    )
+    def test_executor_choices_are_process_and_serial(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--executor", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
 
 class TestCohortResumability:

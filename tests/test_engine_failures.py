@@ -17,9 +17,7 @@ from repro.engine import (
     CohortReport,
     RecordOutcome,
     RecordTask,
-    default_executor,
 )
-from repro.engine.executor import ENV_EXECUTOR
 from repro.exceptions import EngineError
 
 #: Three healthy records plus one poisoned coordinate (patient 1 has no
@@ -69,7 +67,7 @@ class TestFailureCapture:
 
     @pytest.mark.parametrize(
         "executor,workers",
-        [("serial", 1), ("thread", 2), ("process", 1), ("process", 4)],
+        [("serial", 1), ("process", 1), ("process", 4)],
     )
     def test_byte_identical_across_backends(
         self, dataset, mixed_baseline, executor, workers
@@ -158,16 +156,6 @@ class TestFailFastCancellation:
             CohortEngine(dataset, executor="serial").run(tasks, max_failures=0)
         assert counter["n"] == 1
 
-    def test_thread_pool_cancels_remainder(self, dataset, counter):
-        # One worker makes the streaming order deterministic: the first
-        # completed future is the poisoned one, everything else must be
-        # cancelled before it starts.
-        tasks = self._poison_first(6)
-        engine = CohortEngine(dataset, max_workers=1, executor="thread")
-        with pytest.raises(EngineError, match="cancelling the rest"):
-            engine.run(tasks, max_failures=0)
-        assert counter["n"] < len(tasks)
-
     def test_tolerant_run_still_attempts_everything(self, dataset, counter):
         tasks = self._poison_first(2)
         report = CohortEngine(dataset, executor="serial").run(tasks)
@@ -206,23 +194,11 @@ class TestFailureOutcomeShape:
 
 
 class TestExecutorEnvKnob:
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv(ENV_EXECUTOR, raising=False)
-        assert default_executor() == "process"
-
-    def test_env_selects_backend(self, monkeypatch, dataset):
-        monkeypatch.setenv(ENV_EXECUTOR, "thread")
-        assert default_executor() == "thread"
-        assert CohortEngine(dataset).executor == "thread"
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_EXECUTOR, "fleet")
-        with pytest.raises(EngineError, match=ENV_EXECUTOR):
-            default_executor()
-
-    def test_explicit_kind_wins_over_env(self, monkeypatch, dataset):
-        monkeypatch.setenv(ENV_EXECUTOR, "thread")
-        assert CohortEngine(dataset, executor="serial").executor == "serial"
+    def test_default_without_env(self, monkeypatch, dataset):
+        # The pool kind is a constructor argument only: an environment
+        # still exporting REPRO_ENGINE_EXECUTOR does not change it.
+        monkeypatch.setenv("REPRO_ENGINE_EXECUTOR", "thread")
+        assert CohortEngine(dataset).executor == "process"
 
 
 class TestResumableWithFailures:

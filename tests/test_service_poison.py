@@ -1,7 +1,8 @@
 """A poisoned chunk fails its own session, never the service.
 
-Session ``bad`` streams NaN chunks interleaved with session ``good``'s
-clean ones.  The chunk the detector cannot decide must fail ``bad``
+Session ``bad`` streams poisoned chunks interleaved with session
+``good``'s clean ones: NaN samples, and finite ``1e308`` samples whose
+wavelet decomposition overflows.  The chunk the detector cannot decide must fail ``bad``
 alone: ``drain`` still returns, ``bad``'s next poll is a ``protocol``
 error and its close names the failure, and ``good``'s decisions stay
 byte-identical to the batch pipeline — on the single-process service
@@ -32,18 +33,21 @@ N_CHUNKS = 4
 DRAIN_TIMEOUT_S = 20.0
 #: Bound on a whole scenario, teardown included.
 SCENARIO_TIMEOUT_S = 60.0
+#: (poison sample value, fragment of the FeatureError it must raise).
+POISONS = ((np.nan, "NaN"), (1e308, "overflows"))
 
 
 def truncated(record, n_samples):
     return type(record)(data=record.data[:, :n_samples], fs=record.fs)
 
 
-async def poison_scenario(host, record):
-    """Interleave clean ``good`` chunks with ``bad`` ones (NaN at odd
-    seq); returns (good's decisions, bad's poll error, bad's summary)."""
+async def poison_scenario(host, record, value):
+    """Interleave clean ``good`` chunks with ``bad`` ones (all ``value``
+    at odd seq); returns (good's decisions, bad's poll error, bad's
+    summary)."""
     await host.open_session("good")
     await host.open_session("bad")
-    poison = np.full((record.data.shape[0], CHUNK), np.nan)
+    poison = np.full((record.data.shape[0], CHUNK), value)
     for seq in range(N_CHUNKS):
         chunk = record.data[:, seq * CHUNK : (seq + 1) * CHUNK]
         result = await host.ingest("good", chunk, seq=seq)
@@ -62,10 +66,10 @@ async def poison_scenario(host, record):
     return events + list(good_summary.trailing_events), bad_poll.value, bad_summary
 
 
-def check(outcome, expected):
+def check(outcome, expected, fragment):
     decided, bad_poll, bad_summary = outcome
     assert decided == expected
-    assert "failed" in str(bad_poll) and "NaN" in str(bad_poll)
+    assert "failed" in str(bad_poll) and fragment in str(bad_poll)
     assert bad_summary.error is not None
     assert bad_summary.error.startswith("FeatureError")
 
@@ -77,15 +81,20 @@ class TestPoisonedChunk:
 
         async def go():
             async with DetectionService(ServiceConfig()) as service:
-                outcome = await poison_scenario(service, record)
+                outcomes = [
+                    await poison_scenario(service, record, value)
+                    for value, _ in POISONS
+                ]
                 # The consumer survived: a fresh session still decides.
                 await service.open_session("after")
                 await service.ingest("after", record.data[:, :CHUNK])
                 await asyncio.wait_for(service.drain(), DRAIN_TIMEOUT_S)
                 assert await service.poll_events("after")
-                return outcome
+                return outcomes
 
-        check(asyncio.run(asyncio.wait_for(go(), SCENARIO_TIMEOUT_S)), expected)
+        outcomes = asyncio.run(asyncio.wait_for(go(), SCENARIO_TIMEOUT_S))
+        for outcome, (_, fragment) in zip(outcomes, POISONS):
+            check(outcome, expected, fragment)
 
     def test_two_worker_pool(self, sample_record):
         assert shard_index_of("good", 2) == shard_index_of("bad", 2)
@@ -96,10 +105,13 @@ class TestPoisonedChunk:
 
         async def go():
             async with pool:
-                return await poison_scenario(pool, record)
+                return [
+                    await poison_scenario(pool, record, value)
+                    for value, _ in POISONS
+                ]
 
         try:
-            outcome = asyncio.run(asyncio.wait_for(go(), SCENARIO_TIMEOUT_S))
+            outcomes = asyncio.run(asyncio.wait_for(go(), SCENARIO_TIMEOUT_S))
         finally:
             # A frozen shard ignores SIGTERM and never answers shutdown;
             # SIGKILL whatever a failed run left behind so it cannot hang
@@ -109,4 +121,5 @@ class TestPoisonedChunk:
                     os.kill(pool.worker_pid(index), signal.SIGKILL)
                 except (ServiceError, ProcessLookupError):
                     pass
-        check(outcome, expected)
+        for outcome, (_, fragment) in zip(outcomes, POISONS):
+            check(outcome, expected, fragment)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.data.sampling import PAPER_DURATION_RANGE_S
-from repro.exceptions import EngineError, ServiceError
+from repro.exceptions import ServiceError
 from repro.service import ServiceConfig
 from repro.settings import (
     DEFAULT_QUEUE_DEPTH,
@@ -17,8 +17,6 @@ from repro.settings import (
 class TestDefaults:
     def test_empty_env_gives_defaults(self):
         settings = ReproSettings.from_env({})
-        assert settings.kernel_backend is None
-        assert settings.engine_executor == "process"
         assert settings.samples_per_seizure is None
         assert settings.paper_durations is False
         assert settings.service_queue_depth == DEFAULT_QUEUE_DEPTH
@@ -27,7 +25,7 @@ class TestDefaults:
 
     def test_to_dict(self):
         body = ReproSettings.from_env({}).to_dict()
-        assert body["engine_executor"] == "process"
+        assert body["samples_per_seizure"] is None
         assert body["service_queue_depth"] == DEFAULT_QUEUE_DEPTH
         assert body["service_workers"] == 1
 
@@ -36,8 +34,6 @@ class TestFromEnv:
     def test_resolves_every_knob(self):
         settings = ReproSettings.from_env(
             {
-                "REPRO_KERNEL_BACKEND": "reference",
-                "REPRO_ENGINE_EXECUTOR": "thread",
                 "REPRO_SAMPLES_PER_SEIZURE": "7",
                 "REPRO_PAPER_DURATIONS": "1",
                 ENV_SERVICE_QUEUE_DEPTH: "16",
@@ -45,8 +41,6 @@ class TestFromEnv:
                 ENV_SERVICE_WORKERS: "4",
             }
         )
-        assert settings.kernel_backend == "reference"
-        assert settings.engine_executor == "thread"
         assert settings.samples_per_seizure == 7
         assert settings.paper_durations is True
         assert settings.service_queue_depth == 16
@@ -55,10 +49,10 @@ class TestFromEnv:
 
     def test_reads_process_environment_by_default(self, monkeypatch):
         monkeypatch.setenv(ENV_SERVICE_QUEUE_DEPTH, "5")
-        monkeypatch.setenv("REPRO_ENGINE_EXECUTOR", "serial")
+        monkeypatch.setenv("REPRO_SAMPLES_PER_SEIZURE", "4")
         settings = ReproSettings.from_env()
         assert settings.service_queue_depth == 5
-        assert settings.engine_executor == "serial"
+        assert settings.samples_per_seizure == 4
 
     def test_snapshot_does_not_track_later_env_changes(self, monkeypatch):
         monkeypatch.setenv(ENV_SERVICE_QUEUE_DEPTH, "5")
@@ -81,10 +75,6 @@ class TestFromEnv:
             ReproSettings.from_env({ENV_SERVICE_WORKERS: "many"})
         with pytest.raises(ServiceError):
             ReproSettings.from_env({ENV_SERVICE_WORKERS: "0"})
-
-    def test_bad_executor_uses_canonical_parser(self):
-        with pytest.raises(EngineError):
-            ReproSettings.from_env({"REPRO_ENGINE_EXECUTOR": "gpu"})
 
 
 class TestValidation:
@@ -112,21 +102,6 @@ class TestResolvers:
 
 
 class TestThreading:
-    def test_engine_uses_settings_executor(self, dataset):
-        from repro.engine import CohortEngine
-
-        engine = CohortEngine(
-            dataset, settings=ReproSettings(engine_executor="thread")
-        )
-        assert engine.executor == "thread"
-        # An explicit kind still wins over the snapshot.
-        engine = CohortEngine(
-            dataset,
-            executor="serial",
-            settings=ReproSettings(engine_executor="thread"),
-        )
-        assert engine.executor == "serial"
-
     def test_service_config_from_settings(self):
         settings = ReproSettings(
             service_queue_depth=4, service_backpressure="shed-oldest"

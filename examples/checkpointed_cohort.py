@@ -27,12 +27,12 @@ CLI equivalent of steps 1-2:
 import tempfile
 from pathlib import Path
 
-from repro import (
+from repro.data import SyntheticEEGDataset
+from repro.engine import (
     CohortCheckpoint,
     CohortEngine,
     DiskFeatureStore,
     RecordTask,
-    SyntheticEEGDataset,
     cohort_tasks,
 )
 from repro.exceptions import EngineError

@@ -18,7 +18,9 @@ CLI equivalent of the run below:
 
 import time
 
-from repro import CohortEngine, SyntheticEEGDataset, api, cohort_tasks
+from repro import api
+from repro.data import SyntheticEEGDataset
+from repro.engine import CohortEngine, cohort_tasks
 
 
 def main() -> None:

@@ -16,13 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import (
-    APosterioriLabeler,
-    SyntheticEEGDataset,
-    deviation,
-    load_record,
-    save_record,
-)
+from repro.core import APosterioriLabeler, deviation
+from repro.data import SyntheticEEGDataset, load_record, save_record
 
 
 def main() -> None:

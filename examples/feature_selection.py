@@ -13,7 +13,8 @@ Run:
 
 import numpy as np
 
-from repro import EGlassFeatureExtractor, SyntheticEEGDataset, backward_elimination
+from repro.data import SyntheticEEGDataset
+from repro.features import EGlassFeatureExtractor, backward_elimination
 from repro.features import extract_labeled_features
 from repro.features.selection import fisher_ratio
 

@@ -13,7 +13,8 @@ Run:
     python examples/label_confidence.py
 """
 
-from repro import APosterioriLabeler, SyntheticEEGDataset, deviation
+from repro.core import APosterioriLabeler, deviation
+from repro.data import SyntheticEEGDataset
 from repro.core import label_confidence, top_k_detections
 
 

@@ -10,12 +10,8 @@ Run:
     python examples/quickstart.py
 """
 
-from repro import (
-    APosterioriLabeler,
-    SyntheticEEGDataset,
-    deviation,
-    normalized_deviation,
-)
+from repro.core import APosterioriLabeler, deviation, normalized_deviation
+from repro.data import SyntheticEEGDataset
 
 
 def main() -> None:

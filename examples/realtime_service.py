@@ -25,7 +25,8 @@ CLI equivalent of the replay below:
 import asyncio
 
 
-from repro import SyntheticEEGDataset, api
+from repro import api
+from repro.data import SyntheticEEGDataset
 from repro.exceptions import AuthError
 from repro.service import (
     DetectorSession,

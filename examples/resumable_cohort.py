@@ -24,12 +24,12 @@ CLI equivalent of steps 1-2 (run it twice; the second run is faster):
 
 import tempfile
 
-from repro import (
+from repro.data import SyntheticEEGDataset
+from repro.engine import (
     CohortEngine,
     RecordTask,
     SelfLearningDriver,
     SelfLearningTask,
-    SyntheticEEGDataset,
     cohort_tasks,
 )
 from repro.core.labeling import APosterioriLabeler

@@ -14,7 +14,7 @@ Run:
     python examples/self_learning_loop.py
 """
 
-from repro import SyntheticEEGDataset
+from repro.data import SyntheticEEGDataset
 from repro.core import APosterioriLabeler
 from repro.features import Paper10FeatureExtractor
 from repro.selflearning import RealTimeDetector, SelfLearningPipeline

@@ -26,10 +26,10 @@ CLI equivalent:
 import tempfile
 from pathlib import Path
 
-from repro import (
+from repro.data import SyntheticEEGDataset
+from repro.engine import (
     CohortCheckpoint,
     CohortEngine,
-    SyntheticEEGDataset,
     cohort_tasks,
     collect_shards,
     merge_shards,

@@ -11,7 +11,8 @@ Run:
     python examples/streaming_edge.py
 """
 
-from repro import APosterioriLabeler, SyntheticEEGDataset, deviation
+from repro.core import APosterioriLabeler, deviation
+from repro.data import SyntheticEEGDataset
 from repro.core import StreamingLabeler
 from repro.platform import MemoryBudget
 

@@ -22,7 +22,9 @@ Run:
 
 import numpy as np
 
-from repro import APosterioriLabeler, SyntheticEEGDataset, api
+from repro import api
+from repro.core import APosterioriLabeler
+from repro.data import SyntheticEEGDataset
 from repro.data import record_content_digest, write_edf
 
 

@@ -16,14 +16,11 @@ Run:
 
 import numpy as np
 
-from repro import (
-    APosterioriLabeler,
-    EEGRecord,
-    Paper10FeatureExtractor,
-    RealTimeDetector,
-    SyntheticEEGDataset,
-    build_balanced_training_set,
-)
+from repro.core import APosterioriLabeler
+from repro.data import EEGRecord, SyntheticEEGDataset
+from repro.features import Paper10FeatureExtractor
+from repro.ml import build_balanced_training_set
+from repro.selflearning import RealTimeDetector
 from repro.features import extract_labeled_features
 from repro.features.normalize import zscore
 from repro.ml import KMeans, KMedoids, classification_report

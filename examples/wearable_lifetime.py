@@ -9,7 +9,7 @@ Run:
     python examples/wearable_lifetime.py
 """
 
-from repro import WearablePlatform
+from repro.platform import WearablePlatform
 from repro.platform import MemoryBudget, RuntimeModel
 
 

@@ -34,12 +34,12 @@ from .sources import (
 )
 from .montage import (
     ELECTRODES_1020,
+    NEIGHBOURS,
     F7T3,
     F8T4,
     PAPER_PAIRS,
     BipolarPair,
     bipolar_from_referential,
-    montage_graph,
 )
 from .patients import PAPER_PATIENTS, PatientProfile, patient_by_id
 from .records import EEGRecord, SeizureAnnotation
@@ -86,12 +86,12 @@ __all__ = [
     "rechunk",
     "record_content_digest",
     "ELECTRODES_1020",
+    "NEIGHBOURS",
     "F7T3",
     "F8T4",
     "PAPER_PAIRS",
     "BipolarPair",
     "bipolar_from_referential",
-    "montage_graph",
     "PAPER_PATIENTS",
     "PatientProfile",
     "patient_by_id",

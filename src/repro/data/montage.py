@@ -2,17 +2,15 @@
 
 The paper targets minimally invasive wearables (e-Glass and ear-EEG) that
 record only two hidden bipolar channels: **F7T3** and **F8T4**
-(Sec. III).  This module names the 10-20 electrodes, models their scalp
-adjacency as a graph (useful for montage sanity checks and for deriving
-bipolar channels from referential recordings), and exposes the canonical
-channel pair used throughout the library.
+(Sec. III).  This module names the 10-20 electrodes, records which scalp
+sites neighbour each other (useful for montage sanity checks and for
+deriving bipolar channels from referential recordings), and exposes the
+canonical channel pair used throughout the library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from ..exceptions import DataError
 
@@ -22,7 +20,7 @@ __all__ = [
     "F7T3",
     "F8T4",
     "PAPER_PAIRS",
-    "montage_graph",
+    "NEIGHBOURS",
     "bipolar_from_referential",
 ]
 
@@ -50,6 +48,16 @@ _ADJACENCY: tuple[tuple[str, str], ...] = (
     ("T5", "O1"), ("P3", "O1"), ("Pz", "O1"), ("Pz", "O2"), ("P4", "O2"),
     ("T6", "O2"), ("O1", "O2"),
 )
+
+#: Electrode name -> the scalp sites adjacent to it.  Used to check that a
+#: requested bipolar derivation is physically local (adjacent sites), as
+#: the wearable platforms require.
+NEIGHBOURS: dict[str, frozenset[str]] = {
+    site: frozenset(
+        b if a == site else a for a, b in _ADJACENCY if site in (a, b)
+    )
+    for site in ELECTRODES_1020
+}
 
 
 @dataclass(frozen=True)
@@ -81,19 +89,6 @@ F8T4 = BipolarPair("F8", "T4")
 
 #: Channel ordering used by every record in this library.
 PAPER_PAIRS: tuple[BipolarPair, BipolarPair] = (F7T3, F8T4)
-
-
-def montage_graph() -> nx.Graph:
-    """Scalp adjacency graph of the 10-20 montage.
-
-    Nodes are electrode names; edges join neighbouring scalp sites.  Used
-    to validate that a requested bipolar derivation is physically local
-    (adjacent sites), as the wearable platforms require.
-    """
-    g = nx.Graph()
-    g.add_nodes_from(ELECTRODES_1020)
-    g.add_edges_from(_ADJACENCY)
-    return g
 
 
 def bipolar_from_referential(

@@ -4,9 +4,10 @@ Both transports — the single-process :class:`~repro.service.ingest
 .DetectionService` and the multi-process :class:`~repro.service.fleet
 .ServiceShardPool` — accept clients through the same
 :func:`serve_connection` loop, gated by one :class:`AdmissionGate`.
-The gate sees every frame *before* it reaches the dispatcher and
-enforces the three client-facing policies of
-:class:`~repro.service.config.ServiceConfig`:
+The gate sees every frame *before* it reaches the dispatcher, refuses
+any op outside :data:`CLIENT_OPS` with a ``protocol`` error frame (so
+both listeners answer the same verb set), and enforces the three
+client-facing policies of :class:`~repro.service.config.ServiceConfig`:
 
 * **handshake** — a versioned ``hello`` frame (``{"op": "hello",
   "version": 1, "token": ...}``).  Unknown versions are refused with a
@@ -52,7 +53,14 @@ from .framing import (
 )
 from .telemetry import ServiceTelemetry
 
-__all__ = ["AdmissionGate", "ClientConnection", "serve_connection"]
+__all__ = ["CLIENT_OPS", "AdmissionGate", "ClientConnection", "serve_connection"]
+
+#: The verbs a socket client may send.  The pool-internal ``drain`` and
+#: ``shutdown`` travel only on a shard's IPC connection, which bypasses
+#: the gate.
+CLIENT_OPS = frozenset(
+    ("hello", "open", "chunk", "poll", "close", "swap_detector", "telemetry")
+)
 
 
 class ClientConnection:
@@ -145,6 +153,8 @@ class AdmissionGate:
                     "valid token before other ops"
                 )
             )
+        if op not in CLIENT_OPS:
+            return error_frame(ServiceError(f"unknown op {op!r}"))
         if op == "open":
             return self._screen_open(conn, message)
         if op == "chunk":

@@ -961,11 +961,10 @@ class ServiceShardPool:
                 return error_frame(f"missing field {exc}")
             except ReproError as exc:
                 return error_frame(exc)
-        if op in ("open", "chunk", "poll", "close"):
-            if message.get("session") is None:
-                return error_frame("missing field 'session'")
-            try:
-                return await self._session_request(message)
-            except ReproError as exc:
-                return error_frame(exc)
-        return error_frame(ServiceError(f"unknown op {op!r}"))
+        # The gate admits only CLIENT_OPS: the rest are session-scoped.
+        if message.get("session") is None:
+            return error_frame("missing field 'session'")
+        try:
+            return await self._session_request(message)
+        except ReproError as exc:
+            return error_frame(exc)

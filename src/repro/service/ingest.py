@@ -44,7 +44,8 @@ Requests are JSON objects with an ``op`` field:
     Wait until every admitted chunk is decided; ``shutdown``
     additionally returns the final snapshot with samples.  The shard
     pool (:mod:`repro.service.fleet`) runs this same service in each
-    worker and uses these two verbs on its IPC connection.
+    worker and uses these two verbs on its IPC connection only: the
+    client listener's admission gate refuses them as unknown ops.
 
 Every response is ``{"ok": true, ...}`` or the structured error frame
 ``{"ok": false, "error": message, "code": ServiceErrorCode}`` — a

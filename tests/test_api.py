@@ -179,6 +179,20 @@ class TestPackageSurface:
         assert repro.api is api
 
     def test_service_types_exported(self):
+        # The root namespace is the facade; service types live in
+        # repro.service.
+        assert repro.__all__ == [
+            "__version__",
+            "api",
+            "connect",
+            "evaluate_cohort",
+            "extract",
+            "open_source",
+            "start_service",
+            "ReproSettings",
+        ]
+        from repro import service
+
         for name in (
             "DetectionService",
             "DetectorSession",
@@ -187,8 +201,7 @@ class TestPackageSurface:
             "ServiceClient",
             "ServiceConfig",
             "SessionManager",
-            "ReproSettings",
             "batch_window_decisions",
         ):
-            assert name in repro.__all__
-            assert getattr(repro, name) is not None
+            assert name in service.__all__
+            assert getattr(service, name) is not None

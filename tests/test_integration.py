@@ -1,17 +1,11 @@
 """Cross-module integration tests: the paper's end-to-end paths."""
 
 
-from repro import (
-    APosterioriLabeler,
-    EEGRecord,
-    Paper10FeatureExtractor,
-    RealTimeDetector,
-    build_balanced_training_set,
-    deviation,
-    load_record,
-    normalized_deviation,
-    save_record,
-)
+from repro.core import APosterioriLabeler, deviation, normalized_deviation
+from repro.data import EEGRecord, load_record, save_record
+from repro.features import Paper10FeatureExtractor
+from repro.ml import build_balanced_training_set
+from repro.selflearning import RealTimeDetector
 from repro.core.aggregation import aggregate_cohort, score_seizure
 from repro.ml.kmeans import KMeans, cluster_seizure_labels
 from repro.features import extract_labeled_features
@@ -126,5 +120,28 @@ class TestUnsupervisedBaseline:
     def test_full_public_api_importable(self):
         import repro
 
+        assert len(repro.__all__) == 8
         for name in repro.__all__:
             assert hasattr(repro, name), name
+        # Everything else is imported from its subpackage.
+        import repro.core
+        import repro.data
+        import repro.engine
+        import repro.features
+        import repro.ml
+        import repro.platform
+        import repro.selflearning
+        import repro.service
+
+        for pkg in (
+            repro.core,
+            repro.data,
+            repro.engine,
+            repro.features,
+            repro.ml,
+            repro.platform,
+            repro.selflearning,
+            repro.service,
+        ):
+            for name in pkg.__all__:
+                assert hasattr(pkg, name), f"{pkg.__name__}.{name}"

@@ -20,6 +20,7 @@ from repro.service import (
     ServiceConfig,
     ServiceTelemetry,
 )
+from repro.service.framing import read_frame, write_frame
 
 FS = 256
 
@@ -271,3 +272,34 @@ class TestOnTheWire:
                 )
 
         run(go())
+
+
+class TestClientVerbSet:
+    """Both socket surfaces answer one verb set: the pool-internal
+    ``drain``/``shutdown`` verbs are refused like any unknown op."""
+
+    @pytest.mark.parametrize("op", ["drain", "shutdown", "bogus"])
+    @pytest.mark.parametrize("workers", [1, 2], ids=["single", "pool-2"])
+    def test_non_client_op_refused_and_connection_survives(self, workers, op):
+        async def go():
+            async with api.start_service(workers=workers) as service:
+                host, port = await service.serve()
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    replies = []
+                    for message in ({"op": op}, {"op": "open", "session": "p"}):
+                        write_frame(writer, message)
+                        await writer.drain()
+                        replies.append(await read_frame(reader))
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+                return replies
+
+        refused, opened = run(go())
+        assert refused == {
+            "ok": False,
+            "error": f"unknown op {op!r}",
+            "code": ServiceErrorCode.PROTOCOL.value,
+        }
+        assert opened == {"ok": True, "session": "p"}
